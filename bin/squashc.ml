@@ -102,6 +102,24 @@ let prepare prog_name no_squeeze =
   let prog = if no_squeeze then prog else fst (Squeeze.run prog) in
   (prog, wl)
 
+(* The built-in workloads named on the command line; all of them for none. *)
+let workloads_named = function
+  | [] -> Workloads.all
+  | names ->
+    List.map
+      (fun n ->
+        match Workloads.find n with
+        | Some wl -> wl
+        | None ->
+          prerr_endline ("squashc: no such workload: " ^ n ^ " (see squashc workloads)");
+          exit 2)
+      names
+
+let coder_conv =
+  Arg.enum
+    [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf); ("lzss", `Lzss);
+      ("context", `Context) ]
+
 let cache_slots_arg =
   Arg.(
     value & opt int 1
@@ -480,11 +498,6 @@ let squash_cmd =
                 poisoning its whole call chain.")
   in
   let coder =
-    let coder_conv =
-      Arg.enum
-        [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf);
-          ("lzss", `Lzss); ("context", `Context) ]
-    in
     Arg.(
       value & opt coder_conv `Split_stream
       & info [ "coder" ] ~docv:"CODER"
@@ -512,14 +525,6 @@ let squash_cmd =
           ~doc:"Print each pipeline pass as it runs (timing, size deltas, \
                 summary), then the per-pass statistics table.")
   in
-  let check_each =
-    Arg.(
-      value & flag
-      & info [ "check-each" ]
-          ~doc:"Validate the IR (and the squashed image, once built) after \
-                every pipeline pass; a failure names the pass that broke an \
-                invariant.")
-  in
   let stats_json =
     Arg.(
       value
@@ -535,25 +540,9 @@ let squash_cmd =
                 (bits/instruction over the compressed regions, code tables \
                 included in the total).")
   in
-  let lint_flag =
-    Arg.(
-      value & flag
-      & info [ "lint" ]
-          ~doc:"Run the whole-image static verifier over the finished image \
-                (as pipeline pass $(b,lint)); exit 1 on any error-severity \
-                diagnostic.")
-  in
-  let prove_flag =
-    Arg.(
-      value & flag
-      & info [ "prove" ]
-          ~doc:"Run the symbolic equivalence prover over the finished image \
-                (as pipeline pass $(b,prove), two cache slots); exit 1 on \
-                any unproved region.")
-  in
   let run prog_name no_squeeze inputs theta k_bytes profile_file no_pack no_bsafe
       no_unswitch sharp_bsafe coder linear_regions verify cache_slots
-      trace_passes check_each stats_json stream_bits lint prove =
+      trace_passes stats_json stream_bits =
     let prog, wl = prepare prog_name no_squeeze in
     let input = resolve_input inputs wl in
     let profile =
@@ -583,18 +572,12 @@ let squash_cmd =
     let metrics = Obs.Metrics.create () in
     let obs = Obs.create ~metrics () in
     let result =
-      try Squash.run ~options ~check_each ~lint ~prove ?trace ~obs prog profile
-      with
-      | Pipeline.Check_failed { pass; errors } ->
+      try Squash.run ~options ~check:true ?trace ~obs prog profile
+      with Pipeline.Check_failed { pass; errors } ->
         Printf.eprintf "squashc: pass %S broke an invariant:\n" pass;
         List.iter (fun e -> Printf.eprintf "squashc:   %s\n" e) errors;
         exit 1
     in
-    (match Check.check result.Squash.squashed with
-    | Ok () -> ()
-    | Error es ->
-      List.iter (fun e -> Printf.eprintf "squashc: image check: %s\n" e) es;
-      exit 1);
     Format.printf "%a@." Squash.pp_summary result;
     if trace_passes then print_string (Pipeline.render_stats result.Squash.stats);
     let region_streams () =
@@ -674,12 +657,15 @@ let squash_cmd =
         exit 1)
   in
   Cmd.v
-    (Cmd.info "squash" ~doc:"Profile-guided compression; report the footprint.")
+    (Cmd.info "squash"
+       ~doc:"Profile-guided compression, checked as it runs (IR validation \
+             after every pass, then the whole-image lints and the \
+             per-region proofs); report the footprint.")
     Term.(
       const run $ prog_arg $ squeeze_flag $ input_args $ theta $ k_bytes
       $ profile_file $ no_pack $ no_bsafe $ no_unswitch $ sharp_bsafe $ coder
-      $ linear_regions $ verify $ cache_slots_arg $ trace_passes $ check_each
-      $ stats_json $ stream_bits $ lint_flag $ prove_flag)
+      $ linear_regions $ verify $ cache_slots_arg $ trace_passes $ stats_json
+      $ stream_bits)
 
 (* --- attrib ----------------------------------------------------------- *)
 
@@ -894,20 +880,7 @@ let grid_cmd =
   in
   let run names thetas ks timing cache_slots jobs no_cache cache_dir json_out
       csv_out stats_flag trace_out trace_format =
-    let wls =
-      match names with
-      | [] -> Workloads.all
-      | names ->
-        List.map
-          (fun n ->
-            match Workloads.find n with
-            | Some wl -> wl
-            | None ->
-              prerr_endline
-                ("squashc: no such workload: " ^ n ^ " (see squashc workloads)");
-              exit 2)
-          names
-    in
+    let wls = workloads_named names in
     let obs =
       match trace_out with
       | None -> None
@@ -1088,196 +1061,21 @@ let tracediff_cmd =
              signed count and duration deltas.")
     Term.(const run $ file_a $ file_b $ top)
 
-(* --- lint ------------------------------------------------------------- *)
+(* --- check -------------------------------------------------------------- *)
 
-let lint_cmd =
+let check_cmd =
   let workloads_arg =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"WORKLOAD"
-          ~doc:"Built-in workloads to lint (default: all).")
-  in
-  let thetas =
-    Arg.(
-      value
-      & opt (list float) [ 0.0; 0.01 ]
-      & info [ "theta" ] ~docv:"T,T,..."
-          ~doc:"Cold-code thresholds to build and verify at.")
-  in
-  let k_bytes =
-    Arg.(
-      value & opt int 512
-      & info [ "k" ] ~docv:"BYTES" ~doc:"Runtime buffer size bound.")
-  in
-  let sharp =
-    Arg.(
-      value & flag
-      & info [ "sharp-buffer-safe" ]
-          ~doc:"Build the images with the sharpened buffer-safe analysis \
-                (the verifier always checks unchanged calls against it, so \
-                both builds must lint clean).")
-  in
-  let coder =
-    let coder_conv =
-      Arg.enum
-        [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf);
-          ("lzss", `Lzss); ("context", `Context) ]
-    in
-    Arg.(
-      value & opt coder_conv `Split_stream
-      & info [ "coder" ] ~docv:"CODER"
-          ~doc:"Compression backend to build (and stream-verify) the images \
-                with: $(b,huffman), $(b,mtf), $(b,lzss), or $(b,context).")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write per-image diagnostics and safe-call counts as JSON.")
-  in
-  let run names thetas k_bytes sharp coder json_out =
-    let wls =
-      match names with
-      | [] -> Workloads.all
-      | names ->
-        List.map
-          (fun n ->
-            match Workloads.find n with
-            | Some wl -> wl
-            | None ->
-              prerr_endline
-                ("squashc: no such workload: " ^ n ^ " (see squashc workloads)");
-              exit 2)
-          names
-    in
-    let t =
-      Report.Table.create ~title:"squashc lint"
-        [ ("Program", Report.Table.Left); ("theta", Report.Table.Right);
-          ("errors", Report.Table.Right); ("warnings", Report.Table.Right);
-          ("safe calls (cons)", Report.Table.Right);
-          ("safe calls (sharp)", Report.Table.Right);
-          ("delta", Report.Table.Right) ]
-    in
-    let any_errors = ref false in
-    let cells = ref [] in
-    List.iter
-      (fun (wl : Workload.t) ->
-        let prog = fst (Squeeze.run (Workload.compile wl)) in
-        let profile =
-          fst (Profile.collect prog ~input:(Workload.profiling_input wl))
-        in
-        List.iter
-          (fun theta ->
-            let options =
-              {
-                Squash.default_options with
-                Squash.theta;
-                k_bytes;
-                sharp_buffer_safe = sharp;
-                coder;
-              }
-            in
-            let result = Squash.run ~options prog profile in
-            let sq = result.Squash.squashed in
-            let diags = Verify.run sq in
-            let nerrors = List.length (Verify.errors diags) in
-            let nwarnings = List.length diags - nerrors in
-            if nerrors > 0 then any_errors := true;
-            (* What the sharpening buys on this image: Section 6.1 safe
-               call sites under each analysis, over the same regions. *)
-            let p = sq.Rewrite.prog in
-            let regions = sq.Rewrite.regions in
-            let has_compressed fname =
-              match Prog.find_func p fname with
-              | None -> false
-              | Some f ->
-                let any = ref false in
-                Array.iteri
-                  (fun i _ ->
-                    if Regions.block_region regions fname i <> None then
-                      any := true)
-                  f.Prog.Func.blocks;
-                !any
-            in
-            let in_region f b = Regions.block_region regions f b <> None in
-            let safe_calls analysis =
-              let `Safe_calls sc, `Direct_calls _, `Indirect_calls _ =
-                Buffer_safe.stats p analysis ~in_region
-              in
-              sc
-            in
-            let c_cons = safe_calls (Buffer_safe.analyze p ~has_compressed) in
-            let c_sharp =
-              safe_calls (Buffer_safe.analyze_sharp p ~has_compressed)
-            in
-            Report.Table.add_row t
-              [ wl.Workload.name; Printf.sprintf "%g" theta;
-                string_of_int nerrors; string_of_int nwarnings;
-                string_of_int c_cons; string_of_int c_sharp;
-                Printf.sprintf "%+d" (c_sharp - c_cons) ];
-            cells := (wl.Workload.name, theta, diags, c_cons, c_sharp) :: !cells)
-          thetas)
-      wls;
-    print_string (Report.Table.render t);
-    List.iter
-      (fun (name, theta, diags, _, _) ->
-        if diags <> [] then begin
-          Printf.printf "%s @ theta=%g:\n" name theta;
-          print_string (Verify.render diags)
-        end)
-      (List.rev !cells);
-    (match json_out with
-    | None -> ()
-    | Some path ->
-      let doc =
-        Report.Json.Obj
-          [ ("schema", Report.Json.String "pgcc-lint-v1");
-            ( "cells",
-              Report.Json.List
-                (List.rev_map
-                   (fun (name, theta, diags, c_cons, c_sharp) ->
-                     Report.Json.Obj
-                       [ ("workload", Report.Json.String name);
-                         ("theta", Report.Json.Float theta);
-                         ( "errors",
-                           Report.Json.Int (List.length (Verify.errors diags))
-                         );
-                         ( "warnings",
-                           Report.Json.Int
-                             (List.length diags
-                             - List.length (Verify.errors diags)) );
-                         ("safe_calls_conservative", Report.Json.Int c_cons);
-                         ("safe_calls_sharp", Report.Json.Int c_sharp);
-                         ("diags", Verify.to_json diags) ])
-                   !cells) ) ]
-      in
-      write_file path (Report.Json.to_string doc ^ "\n"));
-    if !any_errors then exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Statically verify squashed images: entry stubs, dangling \
-             transfers into removed regions, stub-register liveness, and \
-             buffer-safety of unchanged calls.  Exits 1 on any \
-             error-severity diagnostic.")
-    Term.(const run $ workloads_arg $ thetas $ k_bytes $ sharp $ coder $ json_out)
-
-(* --- prove -------------------------------------------------------------- *)
-
-let prove_cmd =
-  let workloads_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Built-in workloads to prove (default: all).")
+          ~doc:"Built-in workloads to check (default: all).")
   in
   let thetas =
     Arg.(
       value
       & opt (list float) [ 0.0; 0.001; 0.01; 1.0 ]
       & info [ "theta" ] ~docv:"T,T,..."
-          ~doc:"Cold-code thresholds to build and prove at.")
+          ~doc:"Cold-code thresholds to build and check at.")
   in
   let slots_list =
     Arg.(
@@ -1293,11 +1091,6 @@ let prove_cmd =
       & info [ "k" ] ~docv:"BYTES" ~doc:"Runtime buffer size bound.")
   in
   let coder =
-    let coder_conv =
-      Arg.enum
-        [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf);
-          ("lzss", `Lzss); ("context", `Context) ]
-    in
     Arg.(
       value & opt coder_conv `Split_stream
       & info [ "coder" ] ~docv:"CODER"
@@ -1309,32 +1102,20 @@ let prove_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write per-image proof reports as JSON.")
+          ~doc:"Write each image's lint diagnostics and per-slot proof \
+                reports as JSON.")
   in
   let run names thetas slots_list k_bytes coder json_out =
-    let wls =
-      match names with
-      | [] -> Workloads.all
-      | names ->
-        List.map
-          (fun n ->
-            match Workloads.find n with
-            | Some wl -> wl
-            | None ->
-              prerr_endline
-                ("squashc: no such workload: " ^ n ^ " (see squashc workloads)");
-              exit 2)
-          names
-    in
+    let wls = workloads_named names in
     let t =
-      Report.Table.create ~title:"squashc prove"
+      Report.Table.create ~title:"squashc check"
         [ ("Program", Report.Table.Left); ("theta", Report.Table.Right);
-          ("slots", Report.Table.Right); ("regions", Report.Table.Right);
-          ("proved", Report.Table.Right); ("stubs", Report.Table.Right);
-          ("conservative", Report.Table.Right);
+          ("errors", Report.Table.Right); ("warnings", Report.Table.Right);
+          ("regions", Report.Table.Right); ("proved", Report.Table.Right);
+          ("stubs", Report.Table.Right); ("conservative", Report.Table.Right);
           ("unproved", Report.Table.Right); ("time (s)", Report.Table.Right) ]
     in
-    let any_failures = ref false in
+    let failed = ref false in
     let cells = ref [] in
     List.iter
       (fun (wl : Workload.t) ->
@@ -1347,61 +1128,83 @@ let prove_cmd =
             let options =
               { Squash.default_options with Squash.theta; k_bytes; coder }
             in
-            let result = Squash.run ~options prog profile in
-            let sq = result.Squash.squashed in
-            List.iter
-              (fun slots ->
-                let t0 = Unix.gettimeofday () in
-                let r = Prove.run ~slots sq in
-                let dt = Unix.gettimeofday () -. t0 in
-                if r.Prove.failures <> [] then any_failures := true;
-                Report.Table.add_row t
-                  [ wl.Workload.name; Printf.sprintf "%g" theta;
-                    string_of_int slots; string_of_int r.Prove.regions;
-                    Printf.sprintf "%d/%d" r.Prove.proved r.Prove.blocks;
-                    string_of_int r.Prove.stubs;
-                    string_of_int r.Prove.conservative;
-                    string_of_int (List.length r.Prove.failures);
-                    Printf.sprintf "%.3f" dt ];
-                cells := (wl.Workload.name, theta, slots, r, dt) :: !cells)
-              slots_list)
+            let sq = (Squash.run ~options prog profile).Squash.squashed in
+            let t0 = Unix.gettimeofday () in
+            let diags = Verify.run sq in
+            let proofs =
+              List.map (fun slots -> (slots, Prove.run ~slots sq)) slots_list
+            in
+            let dt = Unix.gettimeofday () -. t0 in
+            let nerrors = List.length (Verify.errors diags) in
+            let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 proofs in
+            let unproved = sum (fun r -> List.length r.Prove.failures) in
+            if nerrors > 0 || unproved > 0 then failed := true;
+            Report.Table.add_row t
+              [ wl.Workload.name; Printf.sprintf "%g" theta;
+                string_of_int nerrors;
+                string_of_int (List.length diags - nerrors);
+                string_of_int (Array.length sq.Rewrite.images);
+                Printf.sprintf "%d/%d" (sum (fun r -> r.Prove.proved))
+                  (sum (fun r -> r.Prove.blocks));
+                (* Stub obligations are slot-independent. *)
+                string_of_int
+                  (List.fold_left (fun acc (_, r) -> max acc r.Prove.stubs) 0 proofs);
+                string_of_int (sum (fun r -> r.Prove.conservative));
+                string_of_int unproved; Printf.sprintf "%.3f" dt ];
+            cells := (wl.Workload.name, theta, diags, proofs, dt) :: !cells)
           thetas)
       wls;
+    let cells = List.rev !cells in
     print_string (Report.Table.render t);
     List.iter
-      (fun (name, theta, slots, r, _) ->
-        if r.Prove.failures <> [] then begin
-          Printf.printf "%s @ theta=%g, slots=%d:\n" name theta slots;
-          print_endline (Prove.render r)
-        end)
-      (List.rev !cells);
+      (fun (name, theta, diags, proofs, _) ->
+        if diags <> [] then begin
+          Printf.printf "%s @ theta=%g:\n" name theta;
+          print_string (Verify.render diags)
+        end;
+        List.iter
+          (fun (slots, r) ->
+            if r.Prove.failures <> [] then begin
+              Printf.printf "%s @ theta=%g, slots=%d:\n" name theta slots;
+              print_endline (Prove.render r)
+            end)
+          proofs)
+      cells;
     (match json_out with
     | None -> ()
     | Some path ->
-      let doc =
-        Report.Json.Obj
-          [ ("schema", Report.Json.String "pgcc-prove-v1");
-            ( "cells",
-              Report.Json.List
-                (List.rev_map
-                   (fun (name, theta, slots, r, dt) ->
-                     Report.Json.Obj
-                       [ ("workload", Report.Json.String name);
-                         ("theta", Report.Json.Float theta);
-                         ("slots", Report.Json.Int slots);
-                         ("seconds", Report.Json.Float dt);
-                         ("report", Prove.report_json r) ])
-                   !cells) ) ]
+      let open Report.Json in
+      let cell (name, theta, diags, proofs, dt) =
+        let nerrors = List.length (Verify.errors diags) in
+        Obj
+          [ ("workload", String name); ("theta", Float theta);
+            ("seconds", Float dt); ("errors", Int nerrors);
+            ("warnings", Int (List.length diags - nerrors));
+            ("diags", Verify.to_json diags);
+            ( "proofs",
+              List
+                (List.map
+                   (fun (slots, r) ->
+                     Obj [ ("slots", Int slots); ("report", Prove.report_json r) ])
+                   proofs) ) ]
       in
-      write_file path (Report.Json.to_string doc ^ "\n"));
-    if !any_failures then exit 1
+      let doc =
+        Obj
+          [ ("schema", String "pgcc-check-v1");
+            ("cells", List (List.map cell cells)) ]
+      in
+      write_file path (to_string doc ^ "\n"));
+    if !failed then exit 1
   in
   Cmd.v
-    (Cmd.info "prove"
-       ~doc:"Translation validation: symbolically execute every compressed \
-             region block and its materialised counterpart (per cache slot) \
-             and prove that registers, memory effects and exit targets \
-             match.  Exits 1 on any unproved region, printing the \
+    (Cmd.info "check"
+       ~doc:"Check squashed images: the whole-image lints (dangling \
+             transfers into removed regions, buffer-safety of unchanged \
+             calls, unresolved indirection, unreachable code) and, per \
+             cache slot, the per-region proofs (entry stubs, buffer fit, \
+             stream decoding, and the symbolic equivalence of every region \
+             block with its materialised counterpart).  Exits 1 on any \
+             error-severity diagnostic or unproved region, printing the \
              divergence trace.")
     Term.(
       const run $ workloads_arg $ thetas $ slots_list $ k_bytes $ coder
@@ -1426,7 +1229,7 @@ let main =
        ~doc:"Profile-guided code compression for the SQ32 embedded target.")
     [ compile_cmd; run_cmd; profile_cmd; profdiff_cmd; squash_cmd; attrib_cmd;
       stats_cmd;
-      grid_cmd; benchdiff_cmd; tracediff_cmd; lint_cmd; prove_cmd;
+      grid_cmd; benchdiff_cmd; tracediff_cmd; check_cmd;
       workloads_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -45,8 +45,9 @@ let () =
   let prog = fst (Squeeze.run (Minic.compile_exn source)) in
   let profile, _ = Profile.collect prog ~input:"\004" in
 
-  (* 1. The standard pipeline, traced, with per-pass validation: exactly
-     what `squashc squash --trace-passes --check-each` runs. *)
+  (* 1. The standard pipeline, traced, with per-pass validation: what
+     `squashc squash --trace-passes` runs before its lint and prove
+     passes. *)
   print_endline "=== standard pipeline (traced, validated after every pass) ===";
   let state = Pass.init prog profile in
   let state, stats =

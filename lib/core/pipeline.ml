@@ -373,18 +373,22 @@ let validate_order passes =
     passes
 
 let check_state (st : Pass.state) =
-  let ir =
-    match Prog_check.check ~profile:st.Pass.profile st.Pass.prog with
-    | Ok () -> []
-    | Error es -> es
+  let p = st.Pass.prog in
+  let ir = match Prog.validate p with Ok () -> [] | Error es -> es in
+  (* A profiled block the program no longer has means a pass renumbered or
+     dropped blocks without rebuilding the profile. *)
+  let stale =
+    Profile.fold
+      (fun (fname, b) ~freq:_ ~weight:_ acc ->
+        match Prog.find_func p fname with
+        | None ->
+          Printf.sprintf "profile names unknown function %s (block %d)" fname b :: acc
+        | Some f when b < 0 || b >= Array.length f.Prog.Func.blocks ->
+          Printf.sprintf "profile names missing block %s.%d" fname b :: acc
+        | Some _ -> acc)
+      st.Pass.profile []
   in
-  let image =
-    match st.Pass.squashed with
-    | None -> []
-    | Some sq -> (
-      match Check.check sq with Ok () -> [] | Error es -> es)
-  in
-  match ir @ image with [] -> Ok () | es -> Error es
+  match ir @ List.sort compare stale with [] -> Ok () | es -> Error es
 
 let execute ?(check_each = false) ?trace ?obs ~passes st =
   validate_order passes;

@@ -23,12 +23,12 @@
 
     {!execute} runs a pass list over a {!Pass.state}, recording per-pass
     wall-clock time and instruction/word deltas, optionally tracing each
-    pass and validating the IR (and, once present, the squashed image)
-    after every pass. *)
+    pass and validating the IR after every pass. *)
 
 exception Check_failed of { pass : string; errors : string list }
 (** Raised by [execute ~check_each:true] when validation fails after a
-    pass: the damage happened in exactly [pass]. *)
+    pass (the damage happened in exactly [pass]), and by {!lint_pass} and
+    {!prove_pass} when the finished image fails its check. *)
 
 val resolve_pass : Pass.t
 val cold_pass : Pass.t
@@ -39,19 +39,16 @@ val buffer_safe_pass : Pass.t
 val rewrite_pass : Pass.t
 
 val lint_pass : Pass.t
-(** Opt-in: {!Verify.run} over the squashed image; raises {!Check_failed}
-    (as pass ["lint"]) when any error-severity diagnostic fires.  Not part
-    of {!standard}; append it (or pass [~lint:true] to {!Squash.run}) to
-    verify as part of the pipeline, the static counterpart of
-    [~check_each]. *)
+(** Opt-in: {!Verify.run}'s whole-image lints over the squashed image;
+    raises {!Check_failed} (as pass ["lint"]) when any error-severity
+    diagnostic fires.  Not part of {!standard}; [Squash.run ~check:true]
+    appends it, followed by {!prove_pass}. *)
 
 val prove_pass : Pass.t
-(** Opt-in: {!Prove.run} with two cache slots over the squashed image — the
-    translation-validation counterpart of {!lint_pass}; raises
-    {!Check_failed} (as pass ["prove"]) when any region block cannot be
-    proved equivalent to its materialised rewrite.  Ordered after ["lint"]
-    when both run, so structural diagnostics surface before equivalence
-    ones. *)
+(** Opt-in: {!Prove.run} with two cache slots over the squashed image, the
+    per-region half of the check; raises {!Check_failed} (as pass
+    ["prove"]) when any region fails a proof obligation.  Ordered after
+    ["lint"] when both run. *)
 
 val standard : Pass.t list
 (** All seven passes, in paper order. *)
@@ -65,7 +62,7 @@ val skip : string list -> Pass.t list -> Pass.t list
 (** Remove passes by name. *)
 
 val by_name : string -> Pass.t option
-(** Look up a standard pass (or ["lint"]). *)
+(** Look up a standard pass, ["lint"] or ["prove"]. *)
 
 val names : Pass.t list -> string list
 
@@ -87,10 +84,10 @@ val execute :
     earlier in the list, every [after] constraint must hold, and no name
     may repeat — violations raise [Invalid_argument] before anything runs.
 
-    With [~check_each:true], {!Prog_check.check} (against the state's
-    profile) runs after every pass, plus {!Check.check} once a squashed
-    image exists; a failure raises {!Check_failed} naming the offending
-    pass.  [trace] receives one line per pass as it completes.  [obs]
+    With [~check_each:true], after every pass the state's program must
+    pass {!Prog.validate} and every profiled block must still exist (a
+    pass that renumbers or drops blocks must rebuild the profile); a
+    failure raises {!Check_failed} naming the offending pass.  [trace] receives one line per pass as it completes.  [obs]
     receives {!Obs.Event.Pass_begin}/{!Obs.Event.Pass_end} span events
     (wall clock) and a ["pipeline.passes_run"] counter bump per pass. *)
 

@@ -82,9 +82,9 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
   let conservative = ref 0 in
 
   (* --- entry-stub obligations (slot-independent) -------------------- *)
-  (* Same obligations as the linter's Bad_stub/Live_stub_reg checks, with
-     the dead-register fact re-derived from the independent Dataflow
-     liveness solver: the stub decodes to its 2- or 3-word form, the bsr
+  (* The dead-register fact is re-derived from the independent Dataflow
+     liveness solver, not the Cfg.liveness the rewrite consulted.  The
+     stub decodes to its 2- or 3-word form, the bsr
      lands on the decompressor entry matching the link register, and the
      tag names this block's (region, buffer offset) pair — which is what
      the decomp hook dereferences into [slot_base + 4*off]. *)
@@ -163,12 +163,21 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
     (fun rid (r : Regions.region) ->
       let img = sq.Rewrite.images.(rid) in
       let bw = img.Rewrite.buffer_words in
+      (* The runtime buffer is sized as the largest region plus two words
+         (Rewrite.build); a region that outgrows it would spill into the
+         next slot when materialised. *)
+      if bw + 2 > sq.Rewrite.buffer_words then
+        fail ~rid ~slot:0
+          ~site:(Printf.sprintf "region %d" rid)
+          "region needs %d words, buffer holds %d" bw (sq.Rewrite.buffer_words - 2);
       let rkeys = Array.of_list r.Regions.blocks in
       let nblocks = Array.length rkeys in
+      (* An empty block (a jump absorbed into the fall-through to its
+         target) shares its offset with the next block, so one word can head
+         several blocks; its own proof shows entering it continues there. *)
       let rev_off = Hashtbl.create 16 in
       Array.iter
-        (fun key ->
-          Hashtbl.replace rev_off (Hashtbl.find img.Rewrite.block_offset key) key)
+        (fun key -> Hashtbl.add rev_off (Hashtbl.find img.Rewrite.block_offset key) key)
         rkeys;
       (* Decode this region's slice of the blob — the proof is about what
          the blob actually holds, not the stream the rewrite intended. *)
@@ -253,19 +262,21 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
             let resolve a =
               if a >= base && a < base + (4 * bw) then
                 let w = (a - base) / 4 in
-                match Hashtbl.find_opt rev_off w with
-                | Some key -> `Block key
-                | None -> `Interior w
+                match Hashtbl.find_all rev_off w with
+                | [] -> `Interior w
+                | keys -> `Blocks keys
               else `Text a
             in
             let pp_target ppf = function
-              | `Block (f, i) -> Format.fprintf ppf "%s.b%d (in buffer)" f i
+              | `Blocks keys ->
+                List.iter (fun (f, i) -> Format.fprintf ppf "%s.b%d " f i) keys;
+                Format.fprintf ppf "(in buffer)"
               | `Interior w -> Format.fprintf ppf "buffer interior word %d" w
               | `Text a -> Format.fprintf ppf "0x%x" a
             in
             let target_matches t key =
               match t with
-              | `Block k -> k = key
+              | `Blocks keys -> List.mem key keys
               | `Interior _ -> false
               | `Text a -> Hashtbl.find_opt block_tbl key = Some a
             in
@@ -443,8 +454,8 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
                       else begin
                         (* A raw (stub-less) return address into the buffer
                            relies on the callee keeping this region
-                           resident — the buffer-safety contract the
-                           linter's unsafe-call check enforces. *)
+                           resident — the buffer-safety contract
+                           Verify's unsafe-call lint enforces. *)
                         if not through_stub then incr conservative;
                         true
                       end
@@ -477,8 +488,8 @@ let run ?(slots = 1) ?fault (sq : Rewrite.t) =
                       end
                     | Equiv.Jump_tab { target = v; table = _ }, RJump v' ->
                       if Equiv.equal_value oracle v v' then begin
-                        (* The dispatched table entries themselves are the
-                           linter's dangling-transfer obligation. *)
+                        (* The dispatched table entries themselves are
+                           Verify's dangling-transfer obligation. *)
                         incr conservative;
                         true
                       end
@@ -540,19 +551,6 @@ let render r =
            Printf.sprintf "UNPROVED region %d slot %d @ %s:\n%s" f.rid f.slot
              f.site f.reason)
          fs)
-
-let to_diags r =
-  List.map
-    (fun f ->
-      {
-        Verify.severity = Verify.Error;
-        kind = Verify.Unproved_region;
-        site = f.site;
-        region = (if f.rid >= 0 then Some f.rid else None);
-        addr = None;
-        message = failure_message f;
-      })
-    r.failures
 
 let report_json r =
   let open Report.Json in

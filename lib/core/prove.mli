@@ -1,11 +1,28 @@
-(** Per-region translation validation of a squashed image
-    ([squashc prove]).
+(** Per-region translation validation of a squashed image: the one
+    checker of everything about a single compressed region
+    ([squashc check] runs it next to {!Verify}'s whole-image lints; see
+    DESIGN.md §6 for which checker owns each obligation).
 
-    For every compressed region, every cache slot the runtime may
-    materialise it into, and every block of the region, the prover:
+    {b Entry stubs} (slot-independent).  Every stub decodes to the 2-word
+    [bsr rf, decomp(rf) ; tag] form or the 3-word push form, its [bsr]
+    lands on the decompressor entry matching its link register, that
+    register is not reserved and is dead at the block entry (re-derived
+    from the independent {!Dataflow.Liveness} solver, not the
+    {!Cfg.liveness} the rewrite consulted), and its tag names the block's
+    (region, buffer offset) pair — the word the decompressor resumes at.
+
+    {b Buffer fit}.  Every region image plus the two words the runtime
+    reserves fits the allocated buffer, the bound {!Rewrite.build} sizes
+    the buffer by.
+
+    {b Region proofs}.  For every compressed region, every cache slot the
+    runtime may materialise it into, and every block of the region, the
+    prover:
 
     + decodes the region's slice of the blob with the image's actual
-      coder ({!Compress.decode_region});
+      coder ({!Compress.decode_region}) — a slice that does not decode,
+      or whose materialisation is not exactly the declared image size,
+      fails the region;
     + materialises the decoded stream for the slot exactly as the
       runtime decompressor would — marker expansion through CreateStub,
       slot-relative displacement rebiasing, instruction re-encoding (a
@@ -17,19 +34,18 @@
       same block (through the buffer for intra-region edges, through
       {!Rewrite.block_addrs} for external ones), calls name the same
       callee with the continuation landing on [return_to]'s first word,
-      and expanded calls follow the CreateStub protocol shape.
-
-    Entry stubs are validated against the same obligations as
-    {!Verify.Bad_stub}/{!Verify.Live_stub_reg}, with the dead-register
-    fact re-derived from the independent {!Dataflow.Liveness} solver.
+      and expanded calls follow the CreateStub protocol shape.  A marker
+      or sentinel left in the materialised buffer fails its block.
 
     What is {e assumed} rather than proved (each occurrence is counted
-    in [conservative]; see DESIGN.md §6c): the runtime hook contracts
+    in [conservative]; see DESIGN.md §6): the runtime hook contracts
     (decompressor entry and CreateStub restore-stub protocol), the
     correspondence of retained jump-table dispatch (the loaded table
     {e addresses} are proved equivalent; the entries themselves are
-    covered by {!Verify}'s dangling-transfer check), and indirect-call
-    target sets (the target {e values} are proved equivalent). *)
+    covered by {!Verify}'s dangling-transfer lint), raw return addresses
+    into the buffer (their callee's buffer safety is {!Verify}'s
+    unsafe-call lint), and indirect-call target sets (the target
+    {e values} are proved equivalent). *)
 
 type fault =
   | Rebias_delta of int
@@ -67,9 +83,5 @@ val failure_message : failure -> string
 val render : report -> string
 (** Failures with their divergence traces, or a one-line success
     summary. *)
-
-val to_diags : report -> Verify.diag list
-(** Each failure as an [Error]-severity {!Verify.Unproved_region}
-    diagnostic, feeding the prover into the verifier's typed stream. *)
 
 val report_json : report -> Report.Json.t

@@ -1,11 +1,5 @@
-type image_word =
-  | Plain of Instr.t
-  | Expand_call of { ra : Reg.t; br_disp : int }
-  | Expand_calli of { ra : Reg.t; rb : Reg.t }
-
 type region_image = {
   rid : int;
-  words : image_word list;
   buffer_words : int;
   stream : Instr.t list;
   block_offset : (string * int, int) Hashtbl.t;
@@ -313,10 +307,8 @@ let build (p : Prog.t) ~regions ~buffer_safe ?(decomp_words = default_decomp_wor
       (fun rid (r : Regions.region) ->
         let block_offset, buffer_words, ops = layouts.(rid) in
         let pos = ref 0 in
-        let words = ref [] in
         let stream = ref [] in
         let push_plain ins =
-          words := Plain ins :: !words;
           stream := ins :: !stream;
           incr pos
         in
@@ -359,11 +351,9 @@ let build (p : Prog.t) ~regions ~buffer_safe ?(decomp_words = default_decomp_wor
                  [br zero, target]; the stream stores the br's displacement
                  in a Bsrx marker. *)
               let br_disp = pc_rel ~word_index:(!pos + 1) (addr_of (g, 0)) in
-              words := Expand_call { ra; br_disp } :: !words;
               stream := Instr.Bsrx { ra; disp = br_disp } :: !stream;
               pos := !pos + 2
             | BCalli_expand (ra, rb) ->
-              words := Expand_calli { ra; rb } :: !words;
               stream := Instr.Jsr { ra; rb; hint = 1 } :: !stream;
               pos := !pos + 2
             | BJmp rb -> push_plain (Instr.Jmp { ra = Reg.zero; rb; hint = 0 })
@@ -373,7 +363,6 @@ let build (p : Prog.t) ~regions ~buffer_safe ?(decomp_words = default_decomp_wor
         ignore r;
         {
           rid;
-          words = List.rev !words;
           buffer_words;
           stream = List.rev !stream;
           block_offset;

@@ -21,20 +21,14 @@
     the block entry; when none exists the 3-word push form is used
     (paper, Section 2.3). *)
 
-type image_word =
-  | Plain of Instr.t  (** 1 word in the stream, 1 in the buffer. *)
-  | Expand_call of { ra : Reg.t; br_disp : int }
-      (** Stored as [Bsrx] (1 word); materialised as
-          [bsr ra, CreateStub ; br +br_disp] (2 words). *)
-  | Expand_calli of { ra : Reg.t; rb : Reg.t }
-      (** Stored as [Jsr ~hint:1]; materialised as
-          [bsr ra, CreateStub ; jmp (rb)]. *)
-
 type region_image = {
   rid : int;
-  words : image_word list;
   buffer_words : int;  (** Total buffer words needed (expansions counted). *)
-  stream : Instr.t list;  (** The marker form fed to the compressor. *)
+  stream : Instr.t list;
+      (** The marker form fed to the compressor.  Every instruction is one
+          buffer word except the two call markers, which materialise as
+          two: [Bsrx { ra; disp }] as [bsr ra, CreateStub ; br +disp], and
+          [Jsr { ra; rb; hint = 1 }] as [bsr ra, CreateStub ; jmp (rb)]. *)
   block_offset : (string * int, int) Hashtbl.t;
 }
 

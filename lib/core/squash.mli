@@ -54,9 +54,8 @@ type result = {
 }
 
 val run :
-  ?options:options -> ?setjmp_callers:string list -> ?check_each:bool ->
-  ?lint:bool -> ?prove:bool -> ?trace:(string -> unit) -> ?obs:Obs.t ->
-  Prog.t -> Profile.t -> result
+  ?options:options -> ?setjmp_callers:string list -> ?check:bool ->
+  ?trace:(string -> unit) -> ?obs:Obs.t -> Prog.t -> Profile.t -> result
 (** A thin composition of the standard pass list: equivalent to
     [Pipeline.execute ~passes:(Pipeline.of_options options)] over
     [Pass.init].
@@ -66,16 +65,13 @@ val run :
     the program's [Sys setjmp] instructions, so the argument is only needed
     for call sites hidden behind indirection.
 
-    [check_each] validates the IR (and, once built, the squashed image)
-    after every pass and raises {!Pipeline.Check_failed} naming the pass
-    that broke an invariant.  [lint] appends {!Pipeline.lint_pass}, running
-    the whole-image static verifier ({!Verify}) over the finished image and
-    raising {!Pipeline.Check_failed} as pass ["lint"] on any error-severity
-    diagnostic.  [prove] appends {!Pipeline.prove_pass}, the symbolic
-    equivalence prover ({!Prove}) over two cache slots, raising
-    {!Pipeline.Check_failed} as pass ["prove"] on any unproved region.
-    [trace] receives a one-line report per pass as it completes; [obs]
-    receives pass-span events (see {!Pipeline.execute}). *)
+    [check] runs the full check and raises {!Pipeline.Check_failed} at the
+    first pass that fails it: the IR (and the profile's indices into it)
+    is validated after every pass ([Pipeline.execute ~check_each:true]),
+    then {!Pipeline.lint_pass} runs {!Verify}'s whole-image lints and
+    {!Pipeline.prove_pass} proves every region ({!Prove}) over two cache
+    slots.  [trace] receives a one-line report per pass as it completes;
+    [obs] receives pass-span events (see {!Pipeline.execute}). *)
 
 val size_reduction : result -> float
 (** [(original - squashed) / original], the quantity of Figures 6/7(a). *)

@@ -1,14 +1,6 @@
 type severity = Error | Warning
 
-type kind =
-  | Bad_stub
-  | Dangling_transfer
-  | Live_stub_reg
-  | Unsafe_call
-  | Unresolved_indirect
-  | Stream_mismatch
-  | Unreachable_code
-  | Unproved_region
+type kind = Dangling_transfer | Unsafe_call | Unresolved_indirect | Unreachable_code
 
 type diag = {
   severity : severity;
@@ -20,14 +12,10 @@ type diag = {
 }
 
 let kind_name = function
-  | Bad_stub -> "bad-stub"
   | Dangling_transfer -> "dangling-transfer"
-  | Live_stub_reg -> "live-stub-reg"
   | Unsafe_call -> "unsafe-call"
   | Unresolved_indirect -> "unresolved-indirect"
-  | Stream_mismatch -> "stream-mismatch"
   | Unreachable_code -> "unreachable-code"
-  | Unproved_region -> "unproved-region"
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 
@@ -83,98 +71,6 @@ let run (sq : Rewrite.t) =
         then Hashtbl.replace fully_in_tbl f.name rid)
     p.Prog.funcs;
   let fully_in name = Hashtbl.find_opt fully_in_tbl name in
-
-  (* --- entry stubs: decode, target, tag, dead register -------------- *)
-  let text = sq.Rewrite.text.Easm.words in
-  let base = sq.Rewrite.text.Easm.base in
-  let word_at addr =
-    let idx = (addr - base) / 4 in
-    if addr land 3 <> 0 || idx < 0 || idx >= Array.length text then None
-    else Some text.(idx)
-  in
-  let live_cache = Hashtbl.create 16 in
-  let live_in fname i =
-    let lv =
-      match Hashtbl.find_opt live_cache fname with
-      | Some lv -> lv
-      | None ->
-        let lv = Dataflow.Liveness.solve (Hashtbl.find func_of fname) in
-        Hashtbl.replace live_cache fname lv;
-        lv
-    in
-    lv.Cfg.live_in.(i)
-  in
-  let nregions = Array.length sq.Rewrite.images in
-  let check_tag ~site ((fname, i) as key) addr =
-    match word_at addr with
-    | None ->
-      diag ~addr Error Bad_stub site "tag word at 0x%x lies outside the text" addr
-    | Some tag ->
-      let rid = tag lsr 16 and off = tag land 0xFFFF in
-      if rid >= nregions then
-        diag ~addr Error Bad_stub site "tag names region %d, image has %d" rid
-          nregions
-      else
-        let img = sq.Rewrite.images.(rid) in
-        (match Hashtbl.find_opt img.Rewrite.block_offset key with
-        | None ->
-          diag ~region:rid ~addr Error Bad_stub site
-            "block %s.%d is not laid out in region %d" fname i rid
-        | Some expect ->
-          if expect <> off then
-            diag ~region:rid ~addr Error Bad_stub site
-              "tag offset %d is not the block's instruction boundary %d in \
-               region %d"
-              off expect rid)
-  in
-  let check_stub_reg ~site ~addr (fname, i) rf =
-    if rf = Reg.sp || rf = Reg.zero then
-      diag ~addr Error Live_stub_reg site "stub uses reserved register %s"
-        (Reg.name rf)
-    else if Cfg.Regset.mem rf (live_in fname i) then
-      diag ~addr Error Live_stub_reg site
-        "stub return-address register %s is live at the block entry"
-        (Reg.name rf)
-  in
-  List.iter
-    (fun (((fname, i) as key), addr) ->
-      let site = Printf.sprintf "%s.b%d" fname i in
-      match word_at addr with
-      | None ->
-        diag ~addr Error Bad_stub site "stub address 0x%x outside the text" addr
-      | Some w -> (
-        match Instr.decode w with
-        | Ok (Instr.Bsr { ra; disp }) ->
-          let target = addr + 4 + (4 * disp) in
-          if target <> Rewrite.decomp_entry sq ra then
-            diag ~addr Error Bad_stub site
-              "bsr targets 0x%x, not the decompressor entry for %s" target
-              (Reg.name ra)
-          else begin
-            check_tag ~site key (addr + 4);
-            check_stub_reg ~site ~addr key ra
-          end
-        | Ok (Instr.Mem { op = Instr.Stw; ra; rb; disp = -4 })
-          when rb = Reg.sp && ra = Reg.ra -> (
-          match word_at (addr + 4) with
-          | None -> diag ~addr Error Bad_stub site "truncated push-form stub"
-          | Some w2 -> (
-            match Instr.decode w2 with
-            | Ok (Instr.Bsr { ra = ra2; disp }) ->
-              let target = addr + 8 + (4 * disp) in
-              if ra2 <> Reg.ra then
-                diag ~addr Error Bad_stub site "push form links through %s, not ra"
-                  (Reg.name ra2)
-              else if target <> Rewrite.decomp_entry_push sq then
-                diag ~addr Error Bad_stub site
-                  "push form targets 0x%x, not the push entry" target
-              else check_tag ~site key (addr + 8)
-            | Ok _ | Error _ ->
-              diag ~addr Error Bad_stub site "push form lacks its bsr word"))
-        | Ok _ | Error _ ->
-          diag ~addr Error Bad_stub site
-            "stub does not start with a bsr or a push of ra"))
-    sq.Rewrite.stub_addrs;
 
   (* --- no transfer into a removed region's interior ------------------ *)
   let check_target ~site ~same_rid (fname, d) =
@@ -248,9 +144,9 @@ let run (sq : Rewrite.t) =
     (fun (img : Rewrite.region_image) ->
       let pos = ref 0 in
       List.iter
-        (fun w ->
-          (match w with
-          | Rewrite.Plain (Instr.Bsr { disp; _ }) ->
+        (fun ins ->
+          (match ins with
+          | Instr.Bsr { disp; _ } ->
             let target = sq.Rewrite.buffer_base + (4 * (!pos + 1 + disp)) in
             if not (target >= buf_lo && target < buf_hi) then begin
               let site = Printf.sprintf "region %d @ %d" img.Rewrite.rid !pos in
@@ -267,48 +163,12 @@ let run (sq : Rewrite.t) =
                      the sharpened analysis"
                     g
             end
-          | Rewrite.Plain _ | Rewrite.Expand_call _ | Rewrite.Expand_calli _ ->
-            ());
+          | _ -> ());
+          (* The call markers each materialise as two buffer words. *)
           pos :=
             !pos
-            + (match w with
-              | Rewrite.Plain _ -> 1
-              | Rewrite.Expand_call _ | Rewrite.Expand_calli _ -> 2))
-        img.Rewrite.words)
-    sq.Rewrite.images;
-
-  (* --- every compressed stream decodes back to its region image ------ *)
-  let offsets = sq.Rewrite.blob_offsets in
-  Array.iteri
-    (fun rid (img : Rewrite.region_image) ->
-      let site = Printf.sprintf "region %d" rid in
-      let bit_end =
-        if rid + 1 < Array.length offsets then Some offsets.(rid + 1) else None
-      in
-      match
-        Compress.decode_region sq.Rewrite.codes sq.Rewrite.blob
-          ~bit_offset:offsets.(rid) ?bit_end ()
-      with
-      | exception Bitio.Corrupt_stream msg ->
-        diag ~region:rid Error Stream_mismatch site "stream does not decode: %s"
-          msg
-      | exception Failure msg ->
-        diag ~region:rid Error Stream_mismatch site "stream does not decode: %s"
-          msg
-      | exception Invalid_argument msg ->
-        diag ~region:rid Error Stream_mismatch site
-          "stream reads past its end: %s" msg
-      | decoded, work ->
-        if not (List.equal Instr.equal decoded img.Rewrite.stream) then
-          diag ~region:rid Error Stream_mismatch site
-            "decoded stream disagrees with the region image (%d vs %d \
-             instructions)"
-            (List.length decoded)
-            (List.length img.Rewrite.stream)
-        else if work.Compress.bits < 0 || work.Compress.steps < 0 then
-          diag ~region:rid Error Stream_mismatch site
-            "decoder reported negative work (%d bits, %d steps)"
-            work.Compress.bits work.Compress.steps)
+            + (match ins with Instr.Bsrx _ | Instr.Jsr { hint = 1; _ } -> 2 | _ -> 1))
+        img.Rewrite.stream)
     sq.Rewrite.images;
 
   (* --- indirect calls with an empty candidate set -------------------- *)

@@ -1,26 +1,17 @@
-(** Whole-image static verification of a squashed executable
-    ([squashc lint]).
+(** Whole-image lints over a squashed executable: the checks that need
+    the whole program at once, which a per-region proof cannot express.
+    [squashc check] runs them next to {!Prove}, which owns everything about
+    a single region — its entry stubs, its stream, its materialisation in
+    every slot and its fit in the runtime buffer (DESIGN.md §6 lists which
+    checker owns each obligation).  Nothing is executed; violations come
+    back as typed diagnostics:
 
-    {!Check.check} validates the mechanical structure of the image (stream
-    round-trips, offset tables, footprint sums).  This module proves the
-    {e semantic} invariants the rewrite relies on, without executing
-    anything, and reports violations as typed diagnostics:
-
-    - {b stubs} ({!Bad_stub}): every entry stub decodes to the 2- or
-      3-word form, its [bsr] targets the decompressor entry matching its
-      return-address register, and its tag names a real region and the
-      correct instruction-boundary offset of its block in that region's
-      image.
     - {b transfers} ({!Dangling_transfer}): no surviving branch,
       fall-through, call, jump-table entry or materialised code address
       targets the {e interior} of a removed region — every such target is
       either never-compressed code or a region entry (which is where the
       stub lives).  Intra-region edges and calls to a callee wholly inside
       the same region are exempt, exactly mirroring the rewrite's plan.
-    - {b stub registers} ({!Live_stub_reg}): the return-address register
-      of every 2-word stub is dead at its block's entry, per an
-      independent liveness analysis ({!Dataflow.Liveness}) — deliberately
-      not the {!Cfg.liveness} the rewrite itself consulted.
     - {b unchanged calls} ({!Unsafe_call}): every plain [bsr] the rewrite
       left in compressed code (the Section 6.1 optimisation) targets a
       known function entry whose callee is buffer-safe under the sharpened
@@ -31,31 +22,15 @@
       indirect call whose candidate set is empty — no function's address
       is ever taken — cannot be verified further and would trap at run
       time.
-    - {b streams} ({!Stream_mismatch}): every region's slice of the
-      compressed blob decodes — under whichever coder built the image —
-      back to exactly the region image's instruction stream, without
-      raising and with non-negative reported work.
     - {b dead surviving code} ({!Unreachable_code}, warning): a block the
       rewrite emitted into the text (or a whole surviving function) that
       is unreachable — function-level over the callgraph with the
       {!Consts}-resolved indirect edges, block-level via a forward
-      {!Dataflow} reachability client.
-    - {b unproved regions} ({!Unproved_region}): not produced by {!run}
-      itself — the symbolic equivalence prover ({!Prove}) reports its
-      failures through this kind so they land in the same typed
-      severity×kind stream. *)
+      {!Dataflow} reachability client. *)
 
 type severity = Error | Warning
 
-type kind =
-  | Bad_stub
-  | Dangling_transfer
-  | Live_stub_reg
-  | Unsafe_call
-  | Unresolved_indirect
-  | Stream_mismatch
-  | Unreachable_code
-  | Unproved_region
+type kind = Dangling_transfer | Unsafe_call | Unresolved_indirect | Unreachable_code
 
 type diag = {
   severity : severity;
@@ -68,18 +43,18 @@ type diag = {
 
 val run : Rewrite.t -> diag list
 (** All diagnostics, in discovery order.  Self-contained: recomputes the
-    address-taken set, the sharpened buffer-safe analysis and the liveness
-    facts from the image's own program and regions. *)
+    address-taken set and the sharpened buffer-safe analysis from the
+    image's own program and regions. *)
 
 val errors : diag list -> diag list
-(** The [Error]-severity subset ([squashc lint] exits 1 when non-empty). *)
+(** The [Error]-severity subset ([squashc check] exits 1 when non-empty). *)
 
 val kind_name : kind -> string
-(** Stable kebab-case name: ["bad-stub"], ["dangling-transfer"], … *)
+(** Stable kebab-case name: ["dangling-transfer"], ["unsafe-call"], … *)
 
 val severity_name : severity -> string
 val message : diag -> string
-(** One-line rendering: ["error bad-stub @ site: …"]. *)
+(** One-line rendering: ["error unsafe-call @ site: …"]. *)
 
 val render : diag list -> string
 (** Aligned text table of the diagnostics. *)

@@ -3,8 +3,9 @@
    Runtime.stats; v3: the coder variant in Compress.codes; v4: decode
    tables inside Canonical.t, cache counters in Runtime.stats; v6:
    alloc_words/major_collections in Pass.stats, marshalled inside every
-   Squash.result's pipeline stats). *)
-let schema_version = 6
+   Squash.result's pipeline stats; v7: Rewrite.region_image lost its
+   [words] field). *)
+let schema_version = 7
 
 let default_dir = "_cache"
 

@@ -367,9 +367,9 @@ let stubs () =
             + List.length
                 (List.filter
                    (function
-                     | Rewrite.Expand_call _ | Rewrite.Expand_calli _ -> true
-                     | Rewrite.Plain _ -> false)
-                   img.Rewrite.words))
+                     | Instr.Bsrx _ | Instr.Jsr { hint = 1; _ } -> true
+                     | _ -> false)
+                   img.Rewrite.stream))
           0 r.Squash.squashed.Rewrite.images
       in
       let never = Rewrite.never_compressed_words r.Squash.squashed in

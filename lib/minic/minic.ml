@@ -12,7 +12,7 @@ let compile src =
     let prog = Mc_codegen.generate rp in
     match Prog.validate prog with
     | Ok () -> prog
-    | Error msg -> raise (Mc_codegen.Codegen_error ("internal: " ^ msg))
+    | Error es -> raise (Mc_codegen.Codegen_error ("internal: " ^ String.concat "; " es))
   with
   | prog -> Ok prog
   | exception Mc_lexer.Lex_error (p, m) ->

@@ -91,12 +91,17 @@ val func_instr_count : Func.t -> int
 val instr_count : t -> int
 (** Total emitted instructions, excluding jump-table data words. *)
 
-val validate : t -> (unit, string) result
-(** Check structural invariants: every [dest] and table id in range, every
-    callee defined, the entry function defined, no control-transfer
-    instruction hiding in [Instr], table entries in range, and — because the
-    hardware return address is simply [pc + 4] — that every call's
-    [return_to] is the lexically next block. *)
+val validate : t -> (unit, string list) result
+(** Check structural invariants and report {e every} violation, so a
+    pass that broke several at once is blamed for all of them: every
+    [dest] and table id in range, no empty jump table, every callee and
+    address-taken function defined, the entry function defined and no
+    name repeated, every register operand valid, no control-transfer
+    instruction hiding in [Instr], and — because the hardware return
+    address is simply [pc + 4] — every call's [return_to] the lexically
+    next block.  It also rejects the decompressor-reserved marker
+    encodings ([Sentinel], [Bsrx], [Jsr] with hint 1) anywhere in a block
+    body: those exist only inside compressed streams. *)
 
 val successors : Func.t -> int -> dest list
 (** Intra-function CFG successors of a block (call terminators fall through

@@ -212,7 +212,7 @@ let pristine_tests =
       (fun () ->
         let p = parse src in
         let prof, _ = Profile.collect p ~input:"" in
-        let r = Squash.run ~lint:true ~prove:true p prof in
+        let r = Squash.run ~check:true p prof in
         Alcotest.(check bool)
           "image built" true
           (Array.length r.Squash.squashed.Rewrite.images > 0));

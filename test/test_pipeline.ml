@@ -77,7 +77,7 @@ let check_identical name (a : Rewrite.t) (b : Rewrite.t) =
     (name ^ " stub addrs") a.Rewrite.stub_addrs b.Rewrite.stub_addrs
 
 (* A deliberately broken pass: leaks a compressed-stream marker into the
-   IR, the kind of damage --check-each exists to localise. *)
+   IR, the kind of damage ~check_each exists to localise. *)
 let corrupting_pass =
   {
     Pass.name = "corrupt";
@@ -187,7 +187,7 @@ let skipping_tests =
 
 let check_each_tests =
   [
-    Alcotest.test_case "healthy pipeline passes --check-each" `Quick (fun () ->
+    Alcotest.test_case "healthy pipeline passes ~check_each" `Quick (fun () ->
         let p, prof = Lazy.force prepared in
         let st, _ =
           Pipeline.execute ~check_each:true
@@ -215,11 +215,18 @@ let check_each_tests =
            corruption is only caught later, at the final image check. *)
         let st, _ = Pipeline.execute ~passes (Pass.init p prof) in
         Alcotest.(check bool) "image still built" true (st.Pass.squashed <> None));
-    Alcotest.test_case "Squash.run ~check_each works end to end" `Quick
+    Alcotest.test_case "Squash.run ~check:true validates, lints and proves" `Quick
       (fun () ->
         let p, prof = Lazy.force prepared in
-        let r = Squash.run ~check_each:true p prof in
-        Alcotest.(check bool) "image" true (Rewrite.total_words r.Squash.squashed > 0));
+        let r = Squash.run ~check:true p prof in
+        Alcotest.(check bool) "image" true (Rewrite.total_words r.Squash.squashed > 0);
+        Alcotest.(check (list string))
+          "passes"
+          (Pipeline.names (Pipeline.of_options Squash.default_options)
+          @ [ "lint"; "prove" ])
+          (List.map
+             (fun (s : Pass.stats) -> s.Pass.pass_name)
+             r.Squash.stats.Pipeline.passes));
   ]
 
 let stats_tests =
@@ -302,20 +309,27 @@ let identity_tests =
             let r = Squash.run p prof in
             let sq, _ = manual_squash Squash.default_options p prof in
             check_identical wl.Workload.name r.Squash.squashed sq;
-            match Check.check r.Squash.squashed with
-            | Ok () -> ()
-            | Error es ->
+            match (Prove.run r.Squash.squashed).Prove.failures with
+            | [] -> ()
+            | f :: _ ->
               Alcotest.failf "%s: image check: %s" wl.Workload.name
-                (String.concat "; " es))
+                (Prove.failure_message f))
           Workloads.all);
   ]
 
-let prog_check_tests =
+(* The per-pass check of [~check_each], run after one pass that leaves
+   the program and profile as they were. *)
+let check_state st =
+  match Pipeline.execute ~check_each:true ~passes:[ Pipeline.resolve_pass ] st with
+  | _ -> Ok ()
+  | exception Pipeline.Check_failed { errors; _ } -> Error errors
+
+let validation_tests =
   [
     Alcotest.test_case "a healthy program and profile check clean" `Quick
       (fun () ->
         let p, prof = Lazy.force prepared in
-        match Prog_check.check ~profile:prof p with
+        match check_state (Pass.init p prof) with
         | Ok () -> ()
         | Error es -> Alcotest.failf "unexpected: %s" (String.concat "; " es));
     Alcotest.test_case "stray markers in a block body are all reported" `Quick
@@ -338,7 +352,7 @@ let prog_check_tests =
             { f with Prog.Func.blocks = blocks } :: rest
           | [] -> []
         in
-        match Prog_check.check { p with Prog.funcs } with
+        match Prog.validate { p with Prog.funcs } with
         | Ok () -> Alcotest.fail "markers not detected"
         | Error es ->
           (* One error per marker: the validator collects everything. *)
@@ -348,26 +362,27 @@ let prog_check_tests =
             true
             (List.length es = 3));
     Alcotest.test_case "stale profile indices are reported" `Quick (fun () ->
-        let p, prof = Lazy.force prepared in
+        let _, prof = Lazy.force prepared in
         let other =
           squeeze (compile "int main() { putint(1); return 0; }")
         in
-        ignore p;
-        match Prog_check.check ~profile:prof other with
+        match check_state (Pass.init other prof) with
         | Ok () -> Alcotest.fail "stale profile not detected"
         | Error es ->
           Alcotest.(check bool) "mentions the profile" true
             (List.exists (fun e -> contains e "profile") es));
-    Alcotest.test_case "check_exn raises on a bad program" `Quick (fun () ->
+    Alcotest.test_case "validate rejects an empty program" `Quick (fun () ->
         let bad =
           { Prog.funcs = []; entry = "main"; data_words = 0; data_init = [] }
         in
-        match Prog_check.check_exn bad with
-        | () -> Alcotest.fail "empty program accepted"
-        | exception Failure _ -> ());
+        match Prog.validate bad with
+        | Ok () -> Alcotest.fail "empty program accepted"
+        | Error es ->
+          Alcotest.(check bool) "names the entry" true
+            (List.exists (fun e -> contains e "entry function main") es));
   ]
 
 let suite =
   [ ("pipeline",
      ordering_tests @ skipping_tests @ check_each_tests @ stats_tests
-     @ identity_tests @ prog_check_tests) ]
+     @ identity_tests @ validation_tests) ]

@@ -364,6 +364,28 @@ int main() {
           [ 64; 128; 256; 512; 2048 ]);
   ]
 
+(* The full image check, as [squashc check] runs it: Verify's whole-image
+   lints and Prove's per-region obligations over two cache slots. *)
+let check_image sq =
+  List.map Verify.message (Verify.errors (Verify.run sq))
+  @ List.map Prove.failure_message (Prove.run ~slots:2 sq).Prove.failures
+
+let theta1_image () =
+  let p = squeeze (compile hot_cold_src) in
+  let r =
+    squash ~options:{ Squash.default_options with Squash.theta = 1.0 }
+      ~profile_input:"n" p
+  in
+  r.Squash.squashed
+
+let rejected what needle = function
+  | [] -> Alcotest.failf "%s not detected" what
+  | es ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: mentions %S (%s)" what needle (String.concat "; " es))
+      true
+      (List.exists (fun e -> contains e needle) es)
+
 let checker_tests =
   [
     Alcotest.test_case "Check accepts images from every coder and θ" `Quick
@@ -375,67 +397,45 @@ let checker_tests =
               squash ~options:{ Squash.default_options with Squash.theta; coder }
                 ~profile_input:"n" p
             in
-            match Check.check r.Squash.squashed with
-            | Ok () -> ()
-            | Error es ->
-              Alcotest.failf "θ=%g: %s" theta (String.concat "; " es))
+            match check_image r.Squash.squashed with
+            | [] -> ()
+            | es -> Alcotest.failf "θ=%g: %s" theta (String.concat "; " es))
           [ (0.0, `Split_stream); (1.0, `Split_stream); (1.0, `Split_stream_mtf);
             (1.0, `Lzss); (1.0, `Context); (0.001, `Split_stream);
             (0.001, `Context) ]);
     Alcotest.test_case "Check rejects a corrupted offset table" `Quick (fun () ->
-        let p = squeeze (compile hot_cold_src) in
-        let r =
-          squash ~options:{ Squash.default_options with Squash.theta = 1.0 }
-            ~profile_input:"n" p
-        in
-        let sq = r.Squash.squashed in
-        if Array.length sq.Rewrite.blob_offsets >= 2 then begin
-          let saved = sq.Rewrite.blob_offsets.(1) in
-          sq.Rewrite.blob_offsets.(1) <- max 0 (saved - 3);
-          let verdict = Check.check sq in
-          sq.Rewrite.blob_offsets.(1) <- saved;
-          match verdict with
-          | Error _ -> ()
-          | Ok () -> Alcotest.fail "corruption not detected"
-        end);
-    Alcotest.test_case "Check rejects a stray sentinel in a region image" `Quick
+        let sq = theta1_image () in
+        Alcotest.(check bool) "has two regions" true
+          (Array.length sq.Rewrite.blob_offsets >= 2);
+        let saved = sq.Rewrite.blob_offsets.(1) in
+        sq.Rewrite.blob_offsets.(1) <- max 0 (saved - 3);
+        let es = check_image sq in
+        sq.Rewrite.blob_offsets.(1) <- saved;
+        rejected "corrupted offset table" "region" es);
+    Alcotest.test_case "Check rejects a stray sentinel in a region stream" `Quick
       (fun () ->
-        let p = squeeze (compile hot_cold_src) in
-        let r =
-          squash ~options:{ Squash.default_options with Squash.theta = 1.0 }
-            ~profile_input:"n" p
+        let sq = theta1_image () in
+        (* Re-encode region 0 through the image's own coder with a sentinel
+           in the middle of its stream: the blob really holds it. *)
+        let streams =
+          Array.map (fun (img : Rewrite.region_image) -> img.Rewrite.stream)
+            sq.Rewrite.images
         in
-        let sq = r.Squash.squashed in
-        Alcotest.(check bool) "has a region" true
-          (Array.length sq.Rewrite.images > 0);
-        let saved = sq.Rewrite.images.(0) in
-        sq.Rewrite.images.(0) <-
-          {
-            saved with
-            Rewrite.words = Rewrite.Plain Instr.Sentinel :: saved.Rewrite.words;
-          };
-        let verdict = Check.check sq in
-        sq.Rewrite.images.(0) <- saved;
-        match verdict with
-        | Error es ->
-          Alcotest.(check bool)
-            (Printf.sprintf "mentions the sentinel (%s)" (String.concat "; " es))
-            true
-            (List.exists (fun e -> contains e "sentinel") es)
-        | Ok () -> Alcotest.fail "sentinel not detected");
+        let s0 = streams.(0) in
+        let half = List.length s0 / 2 in
+        streams.(0) <-
+          List.filteri (fun i _ -> i < half) s0
+          @ (Instr.Sentinel :: List.filteri (fun i _ -> i >= half) s0);
+        let blob, blob_offsets = Compress.encode_regions sq.Rewrite.codes streams in
+        rejected "stray sentinel" "region 0"
+          (check_image { sq with Rewrite.blob; blob_offsets }));
     Alcotest.test_case "Check rejects an out-of-range stub tag" `Quick (fun () ->
-        let p = squeeze (compile hot_cold_src) in
-        let r =
-          squash ~options:{ Squash.default_options with Squash.theta = 1.0 }
-            ~profile_input:"n" p
-        in
-        let sq = r.Squash.squashed in
-        let key, addr =
+        let sq = theta1_image () in
+        let addr =
           match sq.Rewrite.stub_addrs with
-          | s :: _ -> s
+          | (_, a) :: _ -> a
           | [] -> Alcotest.fail "no entry stubs"
         in
-        ignore key;
         let words = sq.Rewrite.text.Easm.words in
         let word_idx a = (a - Layout.text_base) / 4 in
         (* The tag word follows the stub's bsr: 2-word plain form or
@@ -447,16 +447,23 @@ let checker_tests =
         in
         let saved = words.(tag_idx) in
         words.(tag_idx) <- (Array.length sq.Rewrite.images + 7) lsl 16;
-        let verdict = Check.check sq in
+        let es = check_image sq in
         words.(tag_idx) <- saved;
-        match verdict with
-        | Error es ->
-          Alcotest.(check bool)
-            (Printf.sprintf "names the bogus region (%s)"
-               (String.concat "; " es))
-            true
-            (List.exists (fun e -> contains e "names region") es)
-        | Ok () -> Alcotest.fail "bad tag not detected");
+        rejected "bad tag" "stub tag" es);
+    Alcotest.test_case "Check rejects a region that outgrows the buffer" `Quick
+      (fun () ->
+        let sq = theta1_image () in
+        (* Rewrite.build sizes the buffer as the largest region plus two
+           words; one word less must not fit. *)
+        let largest =
+          Array.fold_left
+            (fun acc (img : Rewrite.region_image) -> max acc img.Rewrite.buffer_words)
+            0 sq.Rewrite.images
+        in
+        Alcotest.(check int) "buffer is sized by the largest region" (largest + 2)
+          sq.Rewrite.buffer_words;
+        rejected "undersized buffer" "buffer holds"
+          (check_image { sq with Rewrite.buffer_words = largest + 1 }));
   ]
 
 let variant_tests =

@@ -1,5 +1,7 @@
-(* The whole-image static verifier: a pristine image lints clean, and each
-   seeded corruption trips exactly its diagnostic class. *)
+(* The image check: a pristine image lints clean, and each seeded
+   corruption is caught by the checker that owns its concern —
+   whole-image lints trip exactly their Verify class, stub corruptions fail
+   exactly that stub's Prove obligation and nothing in Verify. *)
 
 let parse src =
   match Asm.parse_program src with
@@ -78,6 +80,24 @@ let check_only sq kind =
       (String.concat "; " (List.map Verify.kind_name ks))
       (Verify.render diags)
 
+(* The stub at [site] fails its proof, and only it: the corruption is a
+   per-region fact, so the whole-image lints stay quiet. *)
+let proof_fails_only sq site =
+  let diags = Verify.run sq in
+  if diags <> [] then
+    Alcotest.failf "stub corruption tripped the lints:\n%s" (Verify.render diags);
+  match (Prove.run ~slots:1 sq).Prove.failures with
+  | [] -> Alcotest.failf "corruption of %s went undetected" site
+  | fs ->
+    List.iter
+      (fun f ->
+        if f.Prove.site <> site then
+          Alcotest.failf "wanted failures at %s only, got %s" site
+            (Prove.failure_message f))
+      fs
+
+let stub_site ((fname, i), _) = Printf.sprintf "%s.b%d" fname i
+
 (* The text image is a plain word array: corruptions patch it the way a
    linker bug or a bit flip would. *)
 let word_at sq addr =
@@ -106,17 +126,17 @@ let unit_tests =
         let diags = Verify.run sq in
         if diags <> [] then
           Alcotest.failf "unexpected diagnostics:\n%s" (Verify.render diags));
-    Alcotest.test_case "a tag naming a bogus region trips bad-stub" `Quick
+    Alcotest.test_case "a tag naming a bogus region fails its stub proof" `Quick
       (fun () ->
         let sq = make () in
-        let _, addr = two_word_stub sq in
+        let ((_, addr) as stub) = two_word_stub sq in
         patch_word sq (addr + 4) (Array.length sq.Rewrite.images lsl 16);
-        check_only sq Verify.Bad_stub);
-    Alcotest.test_case "a wrong tag offset trips bad-stub" `Quick (fun () ->
+        proof_fails_only sq (stub_site stub));
+    Alcotest.test_case "a wrong tag offset fails its stub proof" `Quick (fun () ->
         let sq = make () in
-        let _, addr = two_word_stub sq in
+        let ((_, addr) as stub) = two_word_stub sq in
         patch_word sq (addr + 4) (word_at sq (addr + 4) + 1);
-        check_only sq Verify.Bad_stub);
+        proof_fails_only sq (stub_site stub));
     Alcotest.test_case
       "a transfer into a de-registered entry trips dangling-transfer" `Quick
       (fun () ->
@@ -127,16 +147,16 @@ let unit_tests =
         let keys = Hashtbl.fold (fun k () acc -> k :: acc) entries [] in
         List.iter (Hashtbl.remove entries) keys;
         check_only sq Verify.Dangling_transfer);
-    Alcotest.test_case "a stub through a reserved register trips live-stub-reg"
+    Alcotest.test_case "a stub through a reserved register fails its stub proof"
       `Quick (fun () ->
         let sq = make () in
-        let _, addr = two_word_stub sq in
+        let ((_, addr) as stub) = two_word_stub sq in
         (* Re-link the stub through sp: the decompressor target still
            matches, but sp is never an acceptable return-address
            register. *)
         let disp = (Rewrite.decomp_entry sq Reg.sp - (addr + 4)) / 4 in
         patch_word sq addr (Instr.encode (Instr.Bsr { ra = Reg.sp; disp }));
-        check_only sq Verify.Live_stub_reg);
+        proof_fails_only sq (stub_site stub));
     Alcotest.test_case
       "an unchanged call to a no-longer-safe callee trips unsafe-call" `Quick
       (fun () ->
@@ -175,7 +195,7 @@ let workload_tests =
       (fun () ->
         let p = parse src in
         let prof, _ = Profile.collect p ~input:"" in
-        let r = Squash.run ~lint:true p prof in
+        let r = Squash.run ~check:true p prof in
         Alcotest.(check bool)
           "image built" true
           (Array.length r.Squash.squashed.Rewrite.images > 0));

@@ -13,7 +13,7 @@ let per_workload_tests (wl : Workload.t) =
         let p = Workload.compile wl in
         match Prog.validate p with
         | Ok () -> ()
-        | Error e -> Alcotest.fail e);
+        | Error es -> Alcotest.fail (String.concat "; " es));
     Alcotest.test_case (wl.Workload.name ^ " runs both inputs") `Slow (fun () ->
         let p = Workload.compile wl in
         let o1 = run_prog p (Workload.profiling_input wl) in
@@ -43,11 +43,12 @@ let per_workload_tests (wl : Workload.t) =
         List.iter
           (fun theta ->
             let options = { Squash.default_options with Squash.theta = theta } in
-            let r = Squash.run ~options p profile in
-            (match Check.check r.Squash.squashed with
-            | Ok () -> ()
-            | Error es ->
-              Alcotest.failf "image check at θ=%g: %s" theta (String.concat "; " es));
+            let r =
+              try Squash.run ~options ~check:true p profile
+              with Pipeline.Check_failed { pass; errors } ->
+                Alcotest.failf "check at θ=%g failed in %s: %s" theta pass
+                  (String.concat "; " errors)
+            in
             let outcome, _ = Runtime.run ~fuel r.Squash.squashed ~input:timing in
             Alcotest.(check string)
               (Printf.sprintf "output at θ=%g" theta)
