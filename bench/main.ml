@@ -84,8 +84,9 @@ let micro_tests () =
   ]
 
 (* The simulator's steady-state dispatch rate, measured over one long run
-   (VM creation allocates the 16 MiB memory image, so per-run timing through
-   bechamel would mostly measure allocation). *)
+   (VM creation zero-fills the 16 MiB memory image and a 1 M-entry
+   predecode table, about 10 ms, so per-run timing through bechamel would
+   mostly measure allocation). *)
 let vm_throughput () =
   let vm_prog =
     Minic.compile_exn

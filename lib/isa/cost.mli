@@ -42,4 +42,6 @@ val default : model
 
 val instr_cost : model -> Instr.t -> taken:bool -> int
 (** Cycles charged for executing one instruction.  [taken] matters only for
-    conditional branches. *)
+    conditional branches.  The VM charges these figures inline, one per
+    dispatch arm; this function is the specification it is tested
+    against. *)

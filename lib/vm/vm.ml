@@ -3,9 +3,10 @@ exception Trap of { pc : int; reason : string }
 type sampler = { period : int; seed : int }
 
 type t = {
-  mem : int array;  (* word-indexed *)
-  decoded : Instr.t option array;
-  regs : int array;
+  mem : Bytes.t;  (* byte-addressed, little-endian words *)
+  decoded : Instr.t array;
+      (* word-indexed over [0, code_bytes); [undecoded] marks a stale entry *)
+  regs : int array;  (* [zero] is never written, so it always reads 0 *)
   mutable pc : int;
   mutable running : bool;
   mutable exit_code : int option;
@@ -34,7 +35,26 @@ type t = {
 
 let trap t reason = raise (Trap { pc = t.pc; reason })
 
-let mem_words = Layout.mem_bytes / 4
+(* Dune's default profile compiles with -opaque, which keeps [Word]'s
+   helpers out of line; the hot path does its 32-bit arithmetic here. *)
+let mask = 0xFFFF_FFFF
+
+(* The hardwired zero register, as a literal so the hot path compares
+   against an immediate. *)
+let zero = 31
+let () = assert (zero = Reg.zero)
+
+(* Executable words live below the data segment: text, the compressed blob,
+   the stub area and the runtime buffer slots.  Only they are predecoded;
+   a fetch above decodes from memory every time. *)
+let code_bytes = Layout.data_base
+
+(* The "not decoded" marker: allocated at run time, so no decoded
+   instruction is ever physically equal to it. *)
+let undecoded = Instr.Lda { ra = Sys.opaque_identity 0; rb = 0; disp = 0 }
+
+(* [v] is a 32-bit word; move bit 31 into the sign bit of the host int. *)
+let[@inline] signed v = (v lsl 31) asr 31
 
 (* Deterministic xorshift step, kept positive so [mod] below is safe. *)
 let xorshift s =
@@ -51,26 +71,31 @@ let next_stride t (s : sampler) =
   let jitter = (t.sample_rng mod span) - (s.period / 8) in
   max 1 (s.period + jitter)
 
+let[@inline] write_word mem a v = Bytes.set_int32_le mem a (Int32.of_int v)
+
 let create ?(cost = Cost.default) ?(fuel = 1_000_000_000) ?(profile = false) ?sampler
     ~text_base ~text ~entry ~data_base ~data_words ~data_init ~input () =
   if text_base land 3 <> 0 then invalid_arg "Vm.create: unaligned text base";
+  if text_base < 0 || text_base + (4 * Array.length text) > Layout.mem_bytes then
+    invalid_arg "Vm.create: text out of range";
   (match sampler with
   | Some s when s.period < 1 -> invalid_arg "Vm.create: sample period must be >= 1"
   | _ -> ());
-  let mem = Array.make mem_words 0 in
-  Array.blit text 0 mem (text_base / 4) (Array.length text);
+  let mem = Bytes.make Layout.mem_bytes '\000' in
+  Array.iteri (fun i w -> write_word mem (text_base + (4 * i)) w) text;
   List.iter
     (fun (off, v) ->
       let idx = (data_base / 4) + off in
-      if idx < 0 || idx >= mem_words then invalid_arg "Vm.create: data init out of range";
-      mem.(idx) <- v land Word.mask)
+      if idx < 0 || idx >= Layout.mem_bytes / 4 then
+        invalid_arg "Vm.create: data init out of range";
+      write_word mem (4 * idx) v)
     data_init;
   let regs = Array.make Reg.count 0 in
   regs.(Reg.sp) <- Layout.stack_top;
   let t =
     {
       mem;
-      decoded = Array.make mem_words None;
+      decoded = Array.make (code_bytes / 4) undecoded;
       regs;
       pc = entry;
       running = true;
@@ -117,38 +142,40 @@ let of_image ?cost ?fuel ?profile ?sampler (img : Layout.image) ~input =
 let pc t = t.pc
 let set_pc t a = t.pc <- a
 
-let reg t r = if r = Reg.zero then 0 else t.regs.(r)
+let reg t r = t.regs.(r)
+let set_reg t r v = if r <> zero then t.regs.(r) <- v land mask
 
-let set_reg t r v = if r <> Reg.zero then t.regs.(r) <- v land Word.mask
+(* The interpreter's register access: decoded register fields are 5 bits
+   wide, so every index is in bounds. *)
+let[@inline] get t r = Array.unsafe_get t.regs r
+let[@inline] put t r v = if r <> zero then Array.unsafe_set t.regs r (v land mask)
 
-let check_word_addr t a =
+let[@inline] check_word_addr t a =
   if a land 3 <> 0 then trap t (Printf.sprintf "unaligned word access at 0x%x" a);
-  let idx = a lsr 2 in
-  if idx < 0 || idx >= mem_words then
-    trap t (Printf.sprintf "word access out of range at 0x%x" a);
-  idx
+  if a < 0 || a >= Layout.mem_bytes then
+    trap t (Printf.sprintf "word access out of range at 0x%x" a)
 
-let load_word t a = t.mem.(check_word_addr t a)
+let[@inline] load_word t a =
+  check_word_addr t a;
+  Int32.to_int (Bytes.get_int32_le t.mem a) land mask
 
-let store_word t a v =
-  let idx = check_word_addr t a in
-  t.mem.(idx) <- v land Word.mask;
-  t.decoded.(idx) <- None
+let[@inline] store_word t a v =
+  check_word_addr t a;
+  write_word t.mem a v;
+  if a < code_bytes then Array.unsafe_set t.decoded (a lsr 2) undecoded
 
-let check_byte_addr t a =
+let[@inline] check_byte_addr t a =
   if a < 0 || a >= Layout.mem_bytes then
     trap t (Printf.sprintf "byte access out of range at 0x%x" a)
 
-let load_byte t a =
+let[@inline] load_byte t a =
   check_byte_addr t a;
-  (t.mem.(a lsr 2) lsr (8 * (a land 3))) land 0xFF
+  Char.code (Bytes.unsafe_get t.mem a)
 
-let store_byte t a v =
+let[@inline] store_byte t a v =
   check_byte_addr t a;
-  let idx = a lsr 2 in
-  let shift = 8 * (a land 3) in
-  t.mem.(idx) <- t.mem.(idx) land lnot (0xFF lsl shift) lor ((v land 0xFF) lsl shift);
-  t.decoded.(idx) <- None
+  Bytes.unsafe_set t.mem a (Char.unsafe_chr (v land 0xFF));
+  if a < code_bytes then Array.unsafe_set t.decoded (a lsr 2) undecoded
 
 let add_cycles t n = t.cycles <- t.cycles + n
 let icount t = t.icount
@@ -175,8 +202,8 @@ let do_setjmp t buf =
      slots; if Reg.saved ever changes, this is the place that must follow. *)
   assert (setjmp_words = 3 + List.length Reg.saved);
   (* Trap on an out-of-range buffer before any partial write. *)
-  ignore (check_word_addr t buf);
-  ignore (check_word_addr t (buf + (4 * (setjmp_words - 1))));
+  check_word_addr t buf;
+  check_word_addr t (buf + (4 * (setjmp_words - 1)));
   let continue_pc = t.pc + 4 in
   store_word t buf continue_pc;
   store_word t (buf + 4) (reg t Reg.sp);
@@ -243,28 +270,32 @@ let do_syscall t code =
     done;
     t.pc <- t.pc + 4
 
-let eval_alu t op a b =
+(* The single-cycle ALU operations ([Mul], [Div] and [Rem] are charged, and
+   so handled, separately).  Operands are 32-bit words. *)
+let alu op a b =
   match op with
-  | Instr.Add -> Word.add a b
-  | Instr.Sub -> Word.sub a b
-  | Instr.Mul -> Word.mul a b
-  | Instr.Div -> ( try Word.sdiv a b with Word.Division_trap -> trap t "division by zero")
-  | Instr.Rem -> ( try Word.srem a b with Word.Division_trap -> trap t "division by zero")
-  | Instr.And -> Word.logand a b
-  | Instr.Or -> Word.logor a b
-  | Instr.Xor -> Word.logxor a b
-  | Instr.Sll -> Word.shift_left a (b land 31)
-  | Instr.Srl -> Word.shift_right_logical a (b land 31)
-  | Instr.Sra -> Word.shift_right_arith a (b land 31)
-  | Instr.Cmpeq -> if Word.eq a b then 1 else 0
-  | Instr.Cmpne -> if Word.eq a b then 0 else 1
-  | Instr.Cmplt -> if Word.slt a b then 1 else 0
-  | Instr.Cmple -> if Word.sle a b then 1 else 0
-  | Instr.Cmpult -> if Word.ult a b then 1 else 0
-  | Instr.Cmpule -> if Word.ule a b then 1 else 0
+  | Instr.Add -> (a + b) land mask
+  | Instr.Sub -> (a - b) land mask
+  | Instr.And -> a land b
+  | Instr.Or -> a lor b
+  | Instr.Xor -> a lxor b
+  | Instr.Sll -> (a lsl (b land 31)) land mask
+  | Instr.Srl -> a lsr (b land 31)
+  | Instr.Sra -> (signed a asr (b land 31)) land mask
+  | Instr.Cmpeq -> if a = b then 1 else 0
+  | Instr.Cmpne -> if a = b then 0 else 1
+  | Instr.Cmplt -> if signed a < signed b then 1 else 0
+  | Instr.Cmple -> if signed a <= signed b then 1 else 0
+  | Instr.Cmpult -> if a < b then 1 else 0
+  | Instr.Cmpule -> if a <= b then 1 else 0
+  | Instr.Mul | Instr.Div | Instr.Rem -> assert false
+
+let divisor t b =
+  let d = signed b in
+  if d = 0 then trap t "division by zero" else d
 
 let cond_holds op v =
-  let s = Word.to_signed v in
+  let s = signed v in
   match op with
   | Instr.Eq -> s = 0
   | Instr.Ne -> s <> 0
@@ -273,113 +304,147 @@ let cond_holds op v =
   | Instr.Gt -> s > 0
   | Instr.Ge -> s >= 0
 
-let fetch t =
-  if t.pc land 3 <> 0 then trap t "unaligned pc";
-  let idx = t.pc lsr 2 in
-  if idx < 0 || idx >= mem_words then trap t "pc out of range";
-  match t.decoded.(idx) with
-  | Some i -> i
-  | None -> (
-    match Instr.decode t.mem.(idx) with
-    | Ok i ->
-      t.decoded.(idx) <- Some i;
+let decode_at t pc =
+  match Instr.decode (Int32.to_int (Bytes.get_int32_le t.mem pc) land mask) with
+  | Ok i -> i
+  | Error msg -> trap t ("illegal instruction: " ^ msg)
+
+let[@inline] fetch t =
+  let pc = t.pc in
+  if pc land 3 <> 0 then trap t "unaligned pc";
+  if pc >= 0 && pc < code_bytes then begin
+    let i = Array.unsafe_get t.decoded (pc lsr 2) in
+    if i != undecoded then i
+    else begin
+      let i = decode_at t pc in
+      Array.unsafe_set t.decoded (pc lsr 2) i;
       i
-    | Error msg -> trap t ("illegal instruction: " ^ msg))
-
-let record_count t =
-  match t.counts with
-  | None -> ()
-  | Some arr -> (
-    match t.sampler with
-    | None ->
-      let idx = (t.pc - t.text_base) lsr 2 in
-      if idx >= 0 && idx < t.text_words then arr.(idx) <- arr.(idx) + 1
-    | Some s ->
-      t.sample_countdown <- t.sample_countdown - 1;
-      if t.sample_countdown <= 0 then begin
-        t.sample_countdown <- next_stride t s;
-        t.sample_hits <- t.sample_hits + 1;
-        (match t.obs with None -> () | Some o -> Obs.incr o "vm.sample_hits");
-        let idx = (t.pc - t.text_base) lsr 2 in
-        if idx >= 0 && idx < t.text_words then arr.(idx) <- arr.(idx) + 1
-      end
-      else begin
-        t.sample_skips <- t.sample_skips + 1;
-        match t.obs with None -> () | Some o -> Obs.incr o "vm.sample_skips"
-      end)
-
-let rec step t =
-  if not t.running then false
-  else begin
-    (if t.pc >= t.hook_lo && t.pc <= t.hook_hi then
-       match Hashtbl.find_opt t.hooks t.pc with
-       | Some f ->
-         t.hook_invocations <- t.hook_invocations + 1;
-         (match t.obs with
-         | None -> ()
-         | Some o -> Obs.incr o "vm.hook_invocations");
-         f t
-       | None -> exec_one t
-     else exec_one t);
-    t.running
+    end
   end
+  else if pc < 0 || pc >= Layout.mem_bytes then trap t "pc out of range"
+  else decode_at t pc
 
-and exec_one t =
+let bump t arr =
+  let idx = (t.pc - t.text_base) lsr 2 in
+  if idx >= 0 && idx < t.text_words then arr.(idx) <- arr.(idx) + 1
+
+let record_count t arr =
+  match t.sampler with
+  | None -> bump t arr
+  | Some s ->
+    t.sample_countdown <- t.sample_countdown - 1;
+    if t.sample_countdown <= 0 then begin
+      t.sample_countdown <- next_stride t s;
+      t.sample_hits <- t.sample_hits + 1;
+      (match t.obs with None -> () | Some o -> Obs.incr o "vm.sample_hits");
+      bump t arr
+    end
+    else begin
+      t.sample_skips <- t.sample_skips + 1;
+      match t.obs with None -> () | Some o -> Obs.incr o "vm.sample_skips"
+    end
+
+(* Effective address of a memory operand, as a signed host int. *)
+let[@inline] ea t rb disp = signed ((get t rb + disp) land mask)
+
+(* Execute the instruction at [pc]: each arm updates registers and memory,
+   sets the pc and charges its own cycles.  A trap leaves the instruction
+   counted but uncharged. *)
+let exec_one t =
   if t.icount >= t.fuel then trap t "out of fuel";
   let ins = fetch t in
-  record_count t;
+  (match t.counts with None -> () | Some arr -> record_count t arr);
   t.icount <- t.icount + 1;
-  let taken = ref false in
-  (match ins with
-  | Instr.Nop -> t.pc <- t.pc + 4
+  let c = t.cost in
+  let pc = t.pc in
+  match ins with
+  | Instr.Opr { op; ra; rb; rc } ->
+    let a = get t ra and b = match rb with Instr.Reg r -> get t r | Instr.Imm v -> v in
+    (match op with
+    | Instr.Mul ->
+      put t rc (a * b);
+      t.cycles <- t.cycles + c.mul
+    | Instr.Div ->
+      put t rc (signed a / divisor t b);
+      t.cycles <- t.cycles + c.div
+    | Instr.Rem ->
+      put t rc (signed a mod divisor t b);
+      t.cycles <- t.cycles + c.div
+    | _ ->
+      put t rc (alu op a b);
+      t.cycles <- t.cycles + c.alu);
+    t.pc <- pc + 4
+  | Instr.Mem { op = Instr.Ldw; ra; rb; disp } ->
+    put t ra (load_word t (ea t rb disp));
+    t.pc <- pc + 4;
+    t.cycles <- t.cycles + c.mem
+  | Instr.Mem { op = Instr.Stw; ra; rb; disp } ->
+    store_word t (ea t rb disp) (get t ra);
+    t.pc <- pc + 4;
+    t.cycles <- t.cycles + c.mem
+  | Instr.Mem { op = Instr.Ldb; ra; rb; disp } ->
+    put t ra (load_byte t (ea t rb disp));
+    t.pc <- pc + 4;
+    t.cycles <- t.cycles + c.mem
+  | Instr.Mem { op = Instr.Stb; ra; rb; disp } ->
+    store_byte t (ea t rb disp) (get t ra);
+    t.pc <- pc + 4;
+    t.cycles <- t.cycles + c.mem
+  | Instr.Cbr { op; ra; disp } ->
+    if cond_holds op (get t ra) then begin
+      t.pc <- pc + 4 + (4 * disp);
+      t.cycles <- t.cycles + c.branch_taken
+    end
+    else begin
+      t.pc <- pc + 4;
+      t.cycles <- t.cycles + c.branch
+    end
+  | Instr.Lda { ra; rb; disp } ->
+    put t ra (get t rb + disp);
+    t.pc <- pc + 4;
+    t.cycles <- t.cycles + c.alu
+  | Instr.Ldah { ra; rb; disp } ->
+    put t ra (get t rb + (disp lsl 16));
+    t.pc <- pc + 4;
+    t.cycles <- t.cycles + c.alu
+  | Instr.Br { ra; disp } | Instr.Bsr { ra; disp } ->
+    put t ra (pc + 4);
+    t.pc <- pc + 4 + (4 * disp);
+    t.cycles <- t.cycles + c.branch_taken
+  | Instr.Jmp { ra; rb; _ } | Instr.Jsr { ra; rb; _ } | Instr.Ret { ra; rb; _ } ->
+    let target = get t rb in
+    put t ra (pc + 4);
+    t.pc <- target;
+    t.cycles <- t.cycles + c.branch_taken
+  | Instr.Nop ->
+    t.pc <- pc + 4;
+    t.cycles <- t.cycles + c.alu
   | Instr.Sys code ->
     do_syscall t code;
-    taken := false
-  | Instr.Lda { ra; rb; disp } ->
-    set_reg t ra (Word.add (reg t rb) (Word.of_int disp));
-    t.pc <- t.pc + 4
-  | Instr.Ldah { ra; rb; disp } ->
-    set_reg t ra (Word.add (reg t rb) (Word.of_int (disp lsl 16)));
-    t.pc <- t.pc + 4
-  | Instr.Opr { op; ra; rb; rc } ->
-    let b = match rb with Instr.Reg r -> reg t r | Instr.Imm v -> v in
-    set_reg t rc (eval_alu t op (reg t ra) b);
-    t.pc <- t.pc + 4
-  | Instr.Mem { op = Instr.Ldw; ra; rb; disp } ->
-    set_reg t ra (load_word t (Word.to_signed (Word.add (reg t rb) (Word.of_int disp))));
-    t.pc <- t.pc + 4
-  | Instr.Mem { op = Instr.Stw; ra; rb; disp } ->
-    store_word t (Word.to_signed (Word.add (reg t rb) (Word.of_int disp))) (reg t ra);
-    t.pc <- t.pc + 4
-  | Instr.Mem { op = Instr.Ldb; ra; rb; disp } ->
-    set_reg t ra (load_byte t (Word.to_signed (Word.add (reg t rb) (Word.of_int disp))));
-    t.pc <- t.pc + 4
-  | Instr.Mem { op = Instr.Stb; ra; rb; disp } ->
-    store_byte t (Word.to_signed (Word.add (reg t rb) (Word.of_int disp))) (reg t ra);
-    t.pc <- t.pc + 4
-  | Instr.Cbr { op; ra; disp } ->
-    if cond_holds op (reg t ra) then begin
-      taken := true;
-      t.pc <- t.pc + 4 + (4 * disp)
-    end
-    else t.pc <- t.pc + 4
-  | Instr.Br { ra; disp } | Instr.Bsr { ra; disp } ->
-    taken := true;
-    set_reg t ra (t.pc + 4);
-    t.pc <- t.pc + 4 + (4 * disp)
-  | Instr.Jmp { ra; rb; _ } | Instr.Jsr { ra; rb; _ } ->
-    taken := true;
-    let target = reg t rb in
-    set_reg t ra (t.pc + 4);
-    t.pc <- target
-  | Instr.Ret { ra; rb; _ } ->
-    taken := true;
-    let target = reg t rb in
-    set_reg t ra (t.pc + 4);
-    t.pc <- target
+    t.cycles <- t.cycles + c.syscall
   | Instr.Bsrx _ -> trap t "bsrx marker executed (must never reach the pipeline)"
-  | Instr.Sentinel -> trap t "sentinel executed");
-  t.cycles <- t.cycles + Cost.instr_cost t.cost ins ~taken:!taken
+  | Instr.Sentinel -> trap t "sentinel executed"
+
+(* A pc inside the hook range: run the intrinsic installed there, if any.
+   The range spans only the runtime's entry points, so the table is
+   consulted a few tens of thousands of times a run. *)
+let enter_hook_range t =
+  match Hashtbl.find_opt t.hooks t.pc with
+  | Some f ->
+    t.hook_invocations <- t.hook_invocations + 1;
+    (match t.obs with None -> () | Some o -> Obs.incr o "vm.hook_invocations");
+    f t
+  | None -> exec_one t
+
+let[@inline] dispatch t =
+  if t.pc >= t.hook_lo && t.pc <= t.hook_hi then enter_hook_range t else exec_one t
+
+let step t =
+  if not t.running then false
+  else begin
+    dispatch t;
+    t.running
+  end
 
 type outcome = {
   exit_code : int;
@@ -390,8 +455,8 @@ type outcome = {
 }
 
 let run t =
-  while step t do
-    ()
+  while t.running do
+    dispatch t
   done;
   {
     exit_code = Option.value t.exit_code ~default:0;

@@ -13,7 +13,21 @@
       simulated cycles;
     - {b profiling}: optional per-text-word execution counts, from which
       {!Profile} derives basic-block frequencies; a {!sampler} degrades
-      the exact counts to deterministic periodic samples. *)
+      the exact counts to deterministic periodic samples.
+
+    {b Memory model.}  Memory is one zero-filled, byte-addressed,
+    little-endian image of [Layout.mem_bytes] bytes; words are 32-bit and
+    must be aligned.  Every word below [Layout.data_base] — text, the
+    compressed blob, the stub area and the runtime buffer slots — is
+    predecoded on first fetch into a table that any store to that word
+    invalidates.  Code above it (say, words written into the data segment)
+    still runs, but is decoded on every fetch; the traps are the same.
+
+    {b Register invariant.}  The zero register ([Reg.zero], r31) is never
+    written, by the interpreter or by {!set_reg}, so it always reads 0;
+    the interpreter relies on this and reads registers without a special
+    case.  Each instruction's cycles ({!Cost.model}) are charged as it
+    executes; one that traps is counted in [icount] but not charged. *)
 
 type t
 
@@ -42,10 +56,15 @@ val create :
   input:string ->
   unit ->
   t
-(** [fuel] bounds the number of executed instructions (default 1e9);
-    exceeding it raises [Trap].  [input] is the byte stream served by the
-    [getc]/[getw] syscalls.  [sampler] only matters with [~profile:true];
-    @raise Invalid_argument if its period is < 1. *)
+(** Load [text] at [text_base] and the [data_init] words ([(word offset,
+    value)] pairs) at [data_base] into a fresh zeroed memory; execution
+    starts at [entry] with [sp] at [Layout.stack_top].  [fuel] bounds the
+    number of executed instructions (default 1e9); exceeding it raises
+    [Trap].  [input] is the byte stream served by the [getc]/[getw]
+    syscalls.  [sampler] only matters with [~profile:true].
+    @raise Invalid_argument if [text_base] is unaligned, if the text does
+    not fit in memory (["Vm.create: text out of range"]), if a data-init
+    word falls outside it, or if the sampler period is < 1. *)
 
 val of_image :
   ?cost:Cost.model ->

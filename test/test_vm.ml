@@ -265,42 +265,122 @@ func thrower {
           Alcotest.(check string) "reason" "out of fuel" reason
         | _ -> Alcotest.fail "expected trap");
     Alcotest.test_case "self-modifying text re-decodes" `Quick (fun () ->
-        (* main stores an "lda a0, 77(zero)" over a placeholder nop in patchme,
-           then calls it. *)
+        (* main calls patchme once, so its first word ("lda a0, 5(zero)") is
+           decoded and cached, then patches that word into "lda a0,
+           77(zero)" and calls it again: 5 + 77.  The patch is either a
+           whole-word stw or a single stb over the displacement's low
+           byte; both must invalidate the cached decode. *)
         let lda77 = Instr.encode (Instr.Lda { ra = 16; rb = Reg.zero; disp = 77 }) in
-        let src =
+        let src patch =
           Printf.sprintf
             {|
 .entry main
 func main {
   .0:
-    call probe
+    call patchme
   .1:
-    li t1, %d
-    mov v0, t2
-    stw t1, 0(t2)
+    mov a0, s0
+    la t2, &patchme
+    %s
     call patchme
   .2:
-    mov v0, a0
+    add a0, s0, a0
+    sys exit
+    halt
+}
+func patchme {
+  .0:
+    lda a0, 5(zero)
+    ret
+}
+|}
+            patch
+        in
+        List.iter
+          (fun (name, patch) -> check_exit name 82 (run (src patch)))
+          [ ("stw", Printf.sprintf "li t1, %d\n    stw t1, 0(t2)" lda77);
+            ("stb", "lda t1, 77(zero)\n    stb t1, 0(t2)") ]);
+    Alcotest.test_case "code in the data segment runs uncached" `Quick (fun () ->
+        (* Words stored above the predecoded code range execute, are
+           re-read after a store, and trap on an illegal word exactly as
+           text does. *)
+        let enc i = Instr.encode i in
+        let lda n = enc (Instr.Lda { ra = 16; rb = Reg.zero; disp = n }) in
+        let ret = enc (Instr.Ret { ra = Reg.zero; rb = Reg.ra; hint = 0 }) in
+        let illegal w = Result.is_error (Instr.decode w) in
+        let bad = List.find illegal (List.init 64 (fun op -> op lsl 26)) in
+        let data_src first second =
+          Printf.sprintf
+            {|
+.entry main
+.data 4
+func main {
+  .0:
+    li t0, %d
+    li t1, %d
+    stw t1, 0(t0)
+    li t1, %d
+    stw t1, 4(t0)
+    icall (t0)
+  .1:
+    mov a0, s0
+    li t0, %d
+    li t1, %d
+    stw t1, 0(t0)
+    icall (t0)
+  .2:
+    add a0, s0, a0
+    sys exit
+    halt
+}
+|}
+            Layout.data_base first ret Layout.data_base second
+        in
+        check_exit "data code" 49 (run (data_src (lda 42) (lda 7)));
+        let trap_of src =
+          match run src with
+          | exception Vm.Trap { pc; reason } -> (pc, reason)
+          | _ -> Alcotest.fail "expected trap"
+        in
+        let data_pc, data_reason = trap_of (data_src bad (lda 7)) in
+        Alcotest.(check int) "trap pc" Layout.data_base data_pc;
+        let _, text_reason =
+          trap_of
+            (Printf.sprintf
+               {|
+.entry main
+func main {
+  .0:
+    la t2, &patchme
+    li t1, %d
+    stw t1, 0(t2)
+    call patchme
+  .1:
     sys exit
     halt
 }
 func patchme {
   .0:
     nop
-    mov a0, v0
-    ret
-}
-func probe {
-  .0:
-    la v0, &patchme
     ret
 }
 |}
-            lda77
+               bad)
         in
-        let o = run src in
-        check_exit "patched result" 77 o);
+        Alcotest.(check string) "same trap as text" text_reason data_reason;
+        Alcotest.(check bool)
+          "illegal instruction" true
+          (String.starts_with ~prefix:"illegal instruction: " data_reason));
+    Alcotest.test_case "text out of range is a typed error" `Quick (fun () ->
+        let create ~text_base ~text () =
+          ignore
+            (Vm.create ~text_base ~text ~entry:0 ~data_base:Layout.data_base ~data_words:0
+               ~data_init:[] ~input:"" ())
+        in
+        let err = Invalid_argument "Vm.create: text out of range" in
+        Alcotest.check_raises "overflows memory" err
+          (create ~text_base:(Layout.mem_bytes - 4) ~text:[| 0; 0 |]);
+        Alcotest.check_raises "negative base" err (create ~text_base:(-4) ~text:[| 0 |]));
     Alcotest.test_case "profiling counts block executions" `Quick (fun () ->
         let src =
           {|
@@ -327,6 +407,90 @@ func main {
           let addr = Hashtbl.find img.Layout.block_addr ("main", 1) in
           let idx = (addr - img.Layout.text_base) / 4 in
           Alcotest.(check int) "loop head runs 5x" 5 counts.(idx));
+    Alcotest.test_case "each step charges Cost.instr_cost" `Quick (fun () ->
+        (* The interpreter charges each instruction's cycles inline; the
+           cost table's own function is the specification.  Distinct
+           figures per class keep a wrong field from hiding behind equal
+           defaults. *)
+        let cost =
+          { Cost.default with alu = 2; mul = 3; div = 5; mem = 7; branch = 11;
+            branch_taken = 13; syscall = 17 }
+        in
+        let holds op v =
+          let s = Word.to_signed v in
+          match op with
+          | Instr.Eq -> s = 0
+          | Instr.Ne -> s <> 0
+          | Instr.Lt -> s < 0
+          | Instr.Le -> s <= 0
+          | Instr.Gt -> s > 0
+          | Instr.Ge -> s >= 0
+        in
+        let seen = Hashtbl.create 8 in
+        let check_steps name vm =
+          let steps = ref 0 in
+          while !steps < 200_000 && Vm.exited vm = None do
+            let pc = Vm.pc vm and c0 = Vm.cycles vm and i0 = Vm.icount vm in
+            let ins = Instr.decode_exn (Vm.load_word vm pc) in
+            let taken =
+              match ins with Instr.Cbr { op; ra; _ } -> holds op (Vm.reg vm ra) | _ -> false
+            in
+            ignore (Vm.step vm);
+            let want = Cost.instr_cost cost ins ~taken in
+            if Vm.cycles vm - c0 <> want || Vm.icount vm <> i0 + 1 then
+              Alcotest.failf "%s at 0x%x: %s charged %d, want %d" name pc
+                (Instr.to_string ins) (Vm.cycles vm - c0) want;
+            Hashtbl.replace seen want ();
+            incr steps
+          done
+        in
+        let all_classes =
+          {|
+.entry main
+func main {
+  .0:
+    lda t0, 3(zero)
+    ldah t1, 1(zero)
+    mul t0, #5, t2
+    div t1, t0, t3
+    rem t1, t0, t3
+    li t4, 4194304
+    stw t2, 0(t4)
+    ldw t5, 0(t4)
+    stb t2, 4(t4)
+    ldb t5, 4(t4)
+    la t6, &leaf
+    icall (t6)
+  .1:
+    sub t0, #1, t0
+    if gt t0 goto .1 else .2
+  .2:
+    call leaf
+  .3:
+    nop
+    lda a0, 0(zero)
+    sys exit
+    halt
+}
+func leaf {
+  .0:
+    ret
+}
+|}
+        in
+        (match Asm.parse_program all_classes with
+        | Error e -> Alcotest.fail e
+        | Ok p -> check_steps "all-classes" (Vm.of_image ~cost (Layout.emit p) ~input:""));
+        List.iter
+          (fun name ->
+            let wl = Option.get (Workloads.find name) in
+            check_steps name
+              (Vm.of_image ~cost (Layout.emit (Workload.compile wl))
+                 ~input:(Workload.profiling_input wl)))
+          [ "adpcm"; "jpeg_dec" ];
+        Alcotest.(check (list int))
+          "every class charged" [ 2; 3; 5; 7; 11; 13; 17 ]
+          (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])));
     Alcotest.test_case "cycles exceed instructions" `Quick (fun () ->
         let o =
           run "func main {\n .0:\n mul t0, #3, t0\n lda a0, 0(zero)\n sys exit\n halt\n}"
