@@ -971,57 +971,6 @@ let grid_cmd =
       $ no_cache $ cache_dir $ json_out $ csv_out $ stats_flag $ trace_out
       $ trace_format)
 
-(* --- benchdiff -------------------------------------------------------- *)
-
-let benchdiff_cmd =
-  let file_a =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"A.json" ~doc:"Baseline run (bench --json output).")
-  in
-  let file_b =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"B.json" ~doc:"Candidate run to compare against A.")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 0.10
-      & info [ "threshold" ] ~docv:"REL"
-          ~doc:"Relative wall-clock slowdown above which an experiment is \
-                flagged (0.10 = 10% slower); statistical significance is \
-                still required when both runs carry repeated samples.")
-  in
-  let counter_threshold =
-    Arg.(
-      value & opt float 0.0
-      & info [ "counter-threshold" ] ~docv:"REL"
-          ~doc:"Relative drift tolerated in the deterministic runtime \
-                counters (default 0: any drift flags).")
-  in
-  let run file_a file_b threshold counter_threshold =
-    let load f =
-      match Benchdiff.load_file f with
-      | Ok r -> r
-      | Error msg ->
-        Printf.eprintf "squashc: %s\n" msg;
-        exit 2
-    in
-    let a = load file_a and b = load file_b in
-    let report =
-      Benchdiff.compare_runs ~wall_threshold:threshold ~counter_threshold a b
-    in
-    print_string (Benchdiff.render a b report);
-    if Benchdiff.regressed report then exit 1
-  in
-  Cmd.v
-    (Cmd.info "benchdiff"
-       ~doc:"Compare two benchmark runs with repeated-sample statistics; \
-             exit 1 on a significant regression (for CI gates).")
-    Term.(const run $ file_a $ file_b $ threshold $ counter_threshold)
-
 (* --- tracediff -------------------------------------------------------- *)
 
 let tracediff_cmd =
@@ -1229,7 +1178,7 @@ let main =
        ~doc:"Profile-guided code compression for the SQ32 embedded target.")
     [ compile_cmd; run_cmd; profile_cmd; profdiff_cmd; squash_cmd; attrib_cmd;
       stats_cmd;
-      grid_cmd; benchdiff_cmd; tracediff_cmd; check_cmd;
+      grid_cmd; tracediff_cmd; check_cmd;
       workloads_cmd ]
 
 let () = exit (Cmd.eval main)

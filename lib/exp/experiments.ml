@@ -2,33 +2,21 @@ let opts theta = { Squash.default_options with Squash.theta }
 
 let with_all f = List.map (fun wl -> f (Exp_data.prepare wl)) Workloads.all
 
-(* Machine-readable metrics: experiments push (key, value) pairs as they
-   run; the bench driver drains them after each experiment into its
-   [--json] report. *)
-let metrics : (string * Report.Json.t) list ref = ref []
-let record_metric key v = metrics := (key, v) :: !metrics
-
-let drain_metrics () =
-  let m = List.rev !metrics in
-  metrics := [];
-  m
-
 (* Every driver submits its cell set to the engine up front: the grid is
    evaluated concurrently (and through the persistent cache) into the
    Exp_data memos, then the rendering below reads the warm memos.  Cells
    are listed workload-innermost so the first [jobs] dequeued cells touch
    distinct workloads and their prepare stages parallelise.  A failed cell
-   is surfaced as a metric (and will re-raise during rendering if the
-   renderer actually needs it). *)
+   fails the whole experiment, naming every failed cell. *)
 let submit cells =
-  let results, stats = Exp_grid.run ~jobs:(Exp_grid.jobs ()) cells in
-  record_metric "engine" (Engine.stats_json stats);
-  (match Exp_grid.failures results with
-  | [] -> ()
+  let results, _stats = Exp_grid.run ~jobs:(Exp_grid.jobs ()) cells in
+  match Exp_grid.failures results with
+  | [] -> results
   | fs ->
-    record_metric "engine_failures"
-      (Report.Json.List (List.map Engine.error_json fs)));
-  results
+    failwith
+      (Printf.sprintf "%d experiment cell%s failed: %s" (List.length fs)
+         (if List.length fs > 1 then "s" else "")
+         (String.concat "; " (List.map Engine.error_to_string fs)))
 
 let grid_cells ?(timing = false) option_list =
   List.concat_map
@@ -219,11 +207,6 @@ let fig6 () =
       Exp_data.theta_grid
   in
   Report.Table.add_row t ("geo. mean" :: List.map Report.Table.cell_percent means);
-  record_metric "size_reduction_geomean"
-    (Report.Json.Obj
-       (List.map2
-          (fun theta m -> (Exp_data.theta_label theta, Report.Json.Float m))
-          Exp_data.theta_grid means));
   let chart =
     Report.Chart.create ~title:"Figure 6 (mean size reduction vs θ)"
       ~x_labels:(List.map Exp_data.theta_label Exp_data.theta_grid) ~height:10 ()
@@ -558,9 +541,6 @@ let coders () =
   Report.Table.add_separator t;
   Report.Table.add_row t
     [ Printf.sprintf "context wins %d/%d" !wins !total; ""; ""; ""; ""; ""; "" ];
-  record_metric "coder_context_wins"
-    (Report.Json.Obj
-       [ ("wins", Report.Json.Int !wins); ("total", Report.Json.Int !total) ]);
   (* Where the bits move: per-stream totals summed over all workloads. *)
   let t2 =
     Report.Table.create
@@ -701,9 +681,6 @@ let passes () =
     [ "sum"; Report.Table.cell_float ~decimals:2 (1000.0 *. !tot_rescan);
       Report.Table.cell_float ~decimals:2 (1000.0 *. !tot_inc);
       Printf.sprintf "%.1fx" speedup ];
-  record_metric "region_formation_rescan_s" (Report.Json.Float !tot_rescan);
-  record_metric "region_formation_incremental_s" (Report.Json.Float !tot_inc);
-  record_metric "region_formation_speedup" (Report.Json.Float speedup);
   Report.Table.render t ^ "\n" ^ Report.Table.render t2
 
 (* ------------------------------------------------------------------ *)
@@ -729,8 +706,6 @@ let slots_surface () =
                   Workloads.all)
               slots_thetas)
           slots_counts));
-  let hits_total = ref 0 in
-  let metric_rows = ref [] in
   let sections =
     List.map
       (fun theta ->
@@ -762,23 +737,10 @@ let slots_surface () =
                     float_of_int outcome.Vm.cycles
                     /. float_of_int baseline.Vm.cycles
                   in
-                  hits_total := !hits_total + stats.Runtime.cache_hits;
                   Hashtbl.replace per_slot slots
                     (ratio
                     :: Option.value ~default:[]
                          (Hashtbl.find_opt per_slot slots));
-                  metric_rows :=
-                    Report.Json.Obj
-                      [ ("workload", Report.Json.String wl.Workload.name);
-                        ("theta", Report.Json.Float theta);
-                        ("slots", Report.Json.Int slots);
-                        ("time_ratio", Report.Json.Float ratio);
-                        ("decompressions",
-                         Report.Json.Int stats.Runtime.decompressions);
-                        ("cache_hits", Report.Json.Int stats.Runtime.cache_hits);
-                        ("cache_evictions",
-                         Report.Json.Int stats.Runtime.cache_evictions) ]
-                    :: !metric_rows;
                   Printf.sprintf "%.3f %d/%d" ratio stats.Runtime.decompressions
                     stats.Runtime.cache_hits)
                 slots_counts
@@ -801,8 +763,6 @@ let slots_surface () =
         Report.Table.render t)
       slots_thetas
   in
-  record_metric "cache_hits_total" (Report.Json.Int !hits_total);
-  record_metric "slots_surface" (Report.Json.List (List.rev !metric_rows));
   String.concat "\n" sections
 
 (* ------------------------------------------------------------------ *)
@@ -880,7 +840,6 @@ let lifecycle () =
     | [] -> 0.0
     | vs -> List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs)
   in
-  let metric_rows = ref [] in
   List.iter
     (fun wl ->
       let p = Exp_data.prepare wl in
@@ -904,14 +863,6 @@ let lifecycle () =
             push ("size:" ^ name) sratio;
             push ("time:" ^ name) tratio;
             push ("dist:" ^ name) dist;
-            metric_rows :=
-              Report.Json.Obj
-                [ ("workload", Report.Json.String wl.Workload.name);
-                  ("profile", Report.Json.String (Exp_data.spec_label pspec));
-                  ("size_ratio", Report.Json.Float sratio);
-                  ("time_ratio", Report.Json.Float tratio);
-                  ("distance", Report.Json.Float dist) ]
-              :: !metric_rows;
             ( Report.Table.cell_float ~decimals:3 sratio :: sc,
               Report.Table.cell_float ~decimals:3 tratio :: tc,
               Report.Table.cell_float ~decimals:3 dist :: dc ))
@@ -975,7 +926,6 @@ let lifecycle () =
     (series "time" `Geo decayed_names);
   Report.Chart.add_series chart_staleness ~name:"distance"
     (series "dist" `Avg decayed_names);
-  record_metric "lifecycle" (Report.Json.List (List.rev !metric_rows));
   (* Iterative stability: squash, re-profile the squashed image on the
      profiling input (buffer executions are unattributable, so compressed
      code stays cold), re-squash with the derived profile, and require the
@@ -994,7 +944,6 @@ let lifecycle () =
         ("iter1", Report.Table.Right); ("iter2", Report.Table.Right);
         ("Δ last", Report.Table.Right); ("reprofile dist", Report.Table.Right) ]
   in
-  let stab_rows = ref [] in
   List.iter
     (fun wl ->
       let p = Exp_data.prepare wl in
@@ -1027,19 +976,11 @@ let lifecycle () =
           (Printf.sprintf "%s: iterative re-squash did not converge (Δ=%.1f%%)"
              wl.Workload.name (100.0 *. delta));
       let rdist = Profile_ops.distance p.Exp_data.profile prof1 in
-      stab_rows :=
-        Report.Json.Obj
-          [ ("workload", Report.Json.String wl.Workload.name);
-            ("iter0", Report.Json.Int s0); ("iter1", Report.Json.Int s1);
-            ("iter2", Report.Json.Int s2); ("delta", Report.Json.Float delta);
-            ("reprofile_distance", Report.Json.Float rdist) ]
-        :: !stab_rows;
       Report.Table.add_row t_stab
         [ wl.Workload.name; string_of_int s0; string_of_int s1; string_of_int s2;
           Report.Table.cell_percent ~decimals:2 delta;
           Report.Table.cell_float ~decimals:3 rdist ])
     Workloads.all;
-  record_metric "lifecycle_stability" (Report.Json.List (List.rev !stab_rows));
   String.concat "\n"
     [ Report.Table.render t_size; Report.Table.render t_time;
       Report.Table.render t_dist; Report.Chart.render chart_fidelity;

@@ -67,10 +67,5 @@ val lifecycle : unit -> string
     iterative-stability pass (squash → re-profile the squashed image →
     re-squash, asserting footprint convergence). *)
 
-val drain_metrics : unit -> (string * Report.Json.t) list
-(** Key metrics recorded by the experiments run since the last drain
-    (e.g. geo-mean size reduction, region-formation seconds), for the
-    bench driver's [--json] output. *)
-
 val all : (string * (unit -> string)) list
 (** Every experiment, keyed by the id used in DESIGN.md. *)

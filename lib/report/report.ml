@@ -325,80 +325,6 @@ module Json = struct
     | _ -> None
 end
 
-module Stats = struct
-  let mean = function
-    | [] -> 0.0
-    | xs ->
-      Stdlib.List.fold_left ( +. ) 0.0 xs /. float_of_int (Stdlib.List.length xs)
-
-  (* Sample (n-1) standard deviation; 0 for fewer than two samples. *)
-  let stddev xs =
-    match xs with
-    | [] | [ _ ] -> 0.0
-    | xs ->
-      let m = mean xs in
-      let n = float_of_int (Stdlib.List.length xs) in
-      sqrt
-        (Stdlib.List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-        /. (n -. 1.0))
-
-  (* Two-sided 97.5th-percentile Student t critical values by degrees of
-     freedom; beyond the table the normal approximation is within 2%. *)
-  let t_table =
-    [| 12.706; 4.303; 3.182; 2.776; 2.571; 2.447; 2.365; 2.306; 2.262; 2.228;
-       2.201; 2.179; 2.160; 2.145; 2.131; 2.120; 2.110; 2.101; 2.093; 2.086;
-       2.080; 2.074; 2.069; 2.064; 2.060; 2.056; 2.052; 2.048; 2.045; 2.042 |]
-
-  let t_crit95 df =
-    if df < 1 then t_table.(0)
-    else if df <= Array.length t_table then t_table.(df - 1)
-    else 1.96
-
-  let ci95 xs =
-    match xs with
-    | [] | [ _ ] -> 0.0
-    | xs ->
-      let n = Stdlib.List.length xs in
-      t_crit95 (n - 1) *. stddev xs /. sqrt (float_of_int n)
-
-  (* Welch's unequal-variance t statistic and its Welch–Satterthwaite
-     degrees of freedom.  Needs at least two samples on each side. *)
-  let welch_t xs ys =
-    let nx = Stdlib.List.length xs and ny = Stdlib.List.length ys in
-    if nx < 2 || ny < 2 then None
-    else begin
-      let vx = stddev xs ** 2.0 and vy = stddev ys ** 2.0 in
-      let fx = float_of_int nx and fy = float_of_int ny in
-      let sx = vx /. fx and sy = vy /. fy in
-      let se2 = sx +. sy in
-      if se2 <= 0.0 then
-        (* Zero variance on both sides: any difference in means is exact. *)
-        if mean xs = mean ys then Some (0.0, nx + ny - 2)
-        else Some (Float.infinity, nx + ny - 2)
-      else begin
-        let t = (mean ys -. mean xs) /. sqrt se2 in
-        let denom =
-          (if vx > 0.0 then sx ** 2.0 /. (fx -. 1.0) else 0.0)
-          +. if vy > 0.0 then sy ** 2.0 /. (fy -. 1.0) else 0.0
-        in
-        let df =
-          if denom <= 0.0 then nx + ny - 2
-          else max 1 (int_of_float (se2 ** 2.0 /. denom))
-        in
-        Some (t, df)
-      end
-    end
-
-  (* Two-sided Welch test at 95%: are the two sample means distinguishable
-     from noise?  [None]-producing inputs (a single sample on either side)
-     report [true] — with no variance estimate every difference counts,
-     which is the conservative choice for a regression gate. *)
-  let significant xs ys =
-    match welch_t xs ys with
-    | None -> true
-    | Some (t, df) -> Float.abs t > t_crit95 df
-end
-
 module Chart = struct
   type t = {
     title : string;

@@ -23,7 +23,7 @@ end
 
 module Json : sig
   (** A minimal JSON emitter and parser for machine-readable stats — no
-      dependencies, enough for [--stats-json] / [benchdiff] style
+      dependencies, enough for [--stats-json] / [attrib --compare] style
       round-trips. *)
 
   type t =
@@ -49,36 +49,6 @@ module Json : sig
 
   val to_float_opt : t -> float option
   (** Numeric coercion: [Int] and [Float] only. *)
-end
-
-module Stats : sig
-  (** Repeated-sample statistics for the benchmark regression gate:
-      sample mean and deviation, Student-t confidence intervals and
-      Welch's unequal-variance two-sample test. *)
-
-  val mean : float list -> float
-  (** 0 on the empty list. *)
-
-  val stddev : float list -> float
-  (** Sample (n-1) standard deviation; 0 for fewer than two samples. *)
-
-  val t_crit95 : int -> float
-  (** Two-sided 95% Student t critical value for the given degrees of
-      freedom (normal approximation beyond df = 30). *)
-
-  val ci95 : float list -> float
-  (** Half-width of the 95% confidence interval of the mean; 0 for fewer
-      than two samples. *)
-
-  val welch_t : float list -> float list -> (float * int) option
-  (** Welch's t statistic (second sample minus first) and its
-      Welch–Satterthwaite degrees of freedom; [None] when either side has
-      fewer than two samples. *)
-
-  val significant : float list -> float list -> bool
-  (** Two-sided Welch test at 95%.  With fewer than two samples on either
-      side there is no variance estimate and the test conservatively
-      reports [true] (every difference counts). *)
 end
 
 module Chart : sig

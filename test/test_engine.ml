@@ -254,6 +254,11 @@ int main() { return pad(4) & 255; }
    byte-identical to the sequential Exp_data path.  Two workloads keep the
    wall clock tolerable; the θ axis is the full grid. *)
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let grid_wls () =
   List.filter
     (fun (wl : Workload.t) -> List.mem wl.Workload.name [ "pgp"; "rasta" ])
@@ -353,15 +358,27 @@ let determinism_tests =
               (Engine.kind_to_string e.Engine.kind);
             (* The failure is surfaced in the machine-readable report. *)
             let json = Report.Json.to_string (Exp_grid.to_json results) in
-            let contains ~needle hay =
-              let n = String.length needle and h = String.length hay in
-              let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-              go 0
-            in
             Alcotest.(check bool) "json carries the failure" true
               (contains ~needle:"\"status\":\"failed\"" json);
             Alcotest.(check bool) "json carries successes" true
               (contains ~needle:"\"status\":\"ok\"" json)));
+    Alcotest.test_case "a failed cell fails its experiment by name" `Quick
+      (fun () ->
+        (* Table 1 is the cheapest driver that submits cells (θ=0, no
+           timing run). *)
+        Exp_grid.set_injected_failure (Some ("rasta", 0.0));
+        Fun.protect
+          ~finally:(fun () -> Exp_grid.set_injected_failure None)
+          (fun () ->
+            match Experiments.table1 () with
+            | _ -> Alcotest.fail "expected the injected cell to fail T1"
+            | exception Failure msg ->
+              Alcotest.(check bool) "one cell" true
+                (contains ~needle:"1 experiment cell failed" msg);
+              Alcotest.(check bool) "names workload@θ" true
+                (contains ~needle:"rasta θ=0.0 " msg);
+              Alcotest.(check bool) "carries the error" true
+                (contains ~needle:"[trap] injected fault" msg)));
   ]
 
 let suite =

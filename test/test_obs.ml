@@ -1,6 +1,7 @@
 (* Observability: the trace ring buffer, the metrics registry, both
-   exporters, the instrumented VM/runtime/pipeline/engine sites, and the
-   zero-cost-when-off guarantee across the stock workloads. *)
+   exporters, the instrumented VM/runtime/pipeline/engine sites, the
+   zero-cost-when-off guarantee across the stock workloads, and the
+   differential views (attrib diff, tracediff). *)
 
 let fuel = 500_000_000
 
@@ -734,6 +735,175 @@ let grid_determinism_tests =
         Alcotest.(check int) "dropped sums" (Obs.Trace.dropped tr) sd);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Differential views: the attrib save/diff round-trip and tracediff's
+   span profiles over both export formats. *)
+
+let attrib_saved_of_rows rows ~total_cycles ~run_cycles =
+  {
+    Attrib.Saved.rows =
+      List.map
+        (fun (rid, decompressions, cycles, share) ->
+          { Attrib.Saved.rid; decompressions; cycles; share })
+        rows;
+    total_decompressions =
+      List.fold_left (fun acc (_, d, _, _) -> acc + d) 0 rows;
+    total_cycles;
+    run_cycles;
+    params = [ ("workload", "synthetic") ];
+  }
+
+let attrib_diff_tests =
+  [
+    Alcotest.test_case "saved attributions round-trip through JSON" `Quick
+      (fun () ->
+        let a =
+          attrib_saved_of_rows
+            [ (0, 10, 4000, 0.8); (3, 2, 1000, 0.2) ]
+            ~total_cycles:5000 ~run_cycles:(Some 20000)
+        in
+        let json =
+          Report.Json.Obj
+            [ ("schema", Report.Json.String "pgcc-attrib-v1");
+              ( "params",
+                Report.Json.Obj
+                  [ ("workload", Report.Json.String "synthetic") ] );
+              ("run_cycles", Report.Json.Int 20000);
+              ("total_decompressions", Report.Json.Int 12);
+              ("total_cycles", Report.Json.Int 5000);
+              ( "regions",
+                Report.Json.List
+                  (List.map
+                     (fun (r : Attrib.Saved.row) ->
+                       Report.Json.Obj
+                         [ ("rid", Report.Json.Int r.Attrib.Saved.rid);
+                           ( "decompressions",
+                             Report.Json.Int r.Attrib.Saved.decompressions );
+                           ("cycles", Report.Json.Int r.Attrib.Saved.cycles);
+                           ("share", Report.Json.Float r.Attrib.Saved.share)
+                         ])
+                     a.Attrib.Saved.rows) ) ]
+        in
+        match Attrib.Saved.of_json json with
+        | Error msg -> Alcotest.failf "of_json: %s" msg
+        | Ok b ->
+          Alcotest.(check bool) "identical" true (a = b);
+          Alcotest.(check (option (float 1e-9)))
+            "overhead share" (Some 0.25)
+            (Attrib.Saved.overhead_share b));
+    Alcotest.test_case "the diff is signed and sorted by |delta|" `Quick
+      (fun () ->
+        let a =
+          attrib_saved_of_rows
+            [ (0, 10, 4000, 0.8); (1, 2, 1000, 0.2) ]
+            ~total_cycles:5000 ~run_cycles:(Some 10000)
+        in
+        let b =
+          attrib_saved_of_rows
+            [ (0, 2, 500, 0.5); (2, 1, 500, 0.5) ]
+            ~total_cycles:1000 ~run_cycles:(Some 10000)
+        in
+        let ds = Attrib.diff a b in
+        Alcotest.(check (list int))
+          "regions by |cycle delta|" [ 0; 1; 2 ]
+          (List.map (fun d -> d.Attrib.drid) ds);
+        let d0 = List.hd ds in
+        Alcotest.(check int) "region 0 before" 4000 d0.Attrib.cycles_a;
+        Alcotest.(check int) "region 0 after" 500 d0.Attrib.cycles_b;
+        (* Region 1 only in A, region 2 only in B: zero-filled sides. *)
+        let d1 = List.find (fun d -> d.Attrib.drid = 1) ds in
+        Alcotest.(check int) "absent side" 0 d1.Attrib.cycles_b;
+        let rendered = Attrib.render_diff a b in
+        Alcotest.(check bool) "share shift rendered" true
+          (String.length rendered > 0);
+        (* 50% -> 10% overhead share must appear as a -40pp shift. *)
+        let contains s sub =
+          let n = String.length s and m = String.length sub in
+          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check bool) "overall share line" true
+          (contains rendered "50.0% -> 10.0% (-40.0pp)"));
+  ]
+
+(* ------------------------------------------------------------------ *)
+
+let tracediff_tests =
+  [
+    Alcotest.test_case "chrome and jsonl exports profile identically" `Quick
+      (fun () ->
+        let tr = Obs.Trace.create ~capacity:64 () in
+        let emit ts p = Obs.Trace.emit tr { Obs.Event.ts; payload = p } in
+        emit (Obs.Event.Cycles 140)
+          (Obs.Event.Decomp_end
+             { region = 0; bits = 33; words = 7; cycles = 40 });
+        emit (Obs.Event.Cycles 300)
+          (Obs.Event.Decomp_end
+             { region = 0; bits = 20; words = 7; cycles = 60 });
+        emit (Obs.Event.Mono 10.25)
+          (Obs.Event.Pass_end { name = "huffman"; elapsed_s = 0.25 });
+        emit (Obs.Event.Cycles 400)
+          (Obs.Event.Cache_evict { region = 0; slot = 0 });
+        let of_ok = function
+          | Ok p -> p
+          | Error msg -> Alcotest.failf "parse failed: %s" msg
+        in
+        let from_chrome =
+          of_ok
+            (Tracediff.of_string
+               (Report.Json.to_string (Obs.Trace.to_chrome tr)))
+        in
+        let from_jsonl =
+          of_ok (Tracediff.of_string (Obs.Trace.to_jsonl tr))
+        in
+        Alcotest.(check bool) "same spans" true
+          (from_chrome.Tracediff.spans = from_jsonl.Tracediff.spans);
+        let decomp =
+          List.assoc "decompress r0" from_chrome.Tracediff.spans
+        in
+        Alcotest.(check int) "decomp count" 2 decomp.Tracediff.count;
+        Alcotest.(check (float 1e-6)) "decomp cycles-as-us" 100.0
+          decomp.Tracediff.total_us;
+        let pass = List.assoc "pass huffman" from_chrome.Tracediff.spans in
+        Alcotest.(check (float 1e-3)) "pass us" 250_000.0
+          pass.Tracediff.total_us;
+        Alcotest.(check int) "headers agree" 4
+          (Option.get from_jsonl.Tracediff.emitted);
+        (* Self-diff is all zeros. *)
+        List.iter
+          (fun (d : Tracediff.delta) ->
+            Alcotest.(check (float 0.0))
+              (d.Tracediff.name ^ " zero delta")
+              0.0
+              (d.Tracediff.us_b -. d.Tracediff.us_a))
+          (Tracediff.diff from_chrome from_jsonl));
+    Alcotest.test_case "the diff surfaces the changed span" `Quick (fun () ->
+        let mk cycles =
+          let tr = Obs.Trace.create ~capacity:16 () in
+          Obs.Trace.emit tr
+            { Obs.Event.ts = Obs.Event.Cycles (100 + cycles);
+              payload =
+                Obs.Event.Decomp_end { region = 1; bits = 8; words = 2; cycles }
+            };
+          Obs.Trace.emit tr
+            { Obs.Event.ts = Obs.Event.Mono 1.0;
+              payload = Obs.Event.Pass_end { name = "cold"; elapsed_s = 0.1 }
+            };
+          match Tracediff.of_string (Obs.Trace.to_jsonl tr) with
+          | Ok p -> p
+          | Error msg -> Alcotest.failf "parse failed: %s" msg
+        in
+        let ds = Tracediff.diff (mk 40) (mk 90) in
+        let top = List.hd ds in
+        Alcotest.(check string) "biggest mover first" "decompress r1"
+          top.Tracediff.name;
+        Alcotest.(check (float 1e-6)) "signed delta" 50.0
+          (top.Tracediff.us_b -. top.Tracediff.us_a);
+        let rendered = Tracediff.render ~top:1 (mk 40) (mk 90) in
+        Alcotest.(check bool) "truncation note" true
+          (String.length rendered > 0));
+  ]
+
 let suite =
   [
     ("obs.trace", ring_tests);
@@ -743,4 +913,6 @@ let suite =
     ("obs.spans", span_tests);
     ("obs.grid", grid_determinism_tests);
     ("obs.workloads", workload_tests);
+    ("obs.attrib", attrib_diff_tests);
+    ("obs.tracediff", tracediff_tests);
   ]
