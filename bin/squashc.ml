@@ -102,6 +102,17 @@ let prepare prog_name no_squeeze =
   let prog = if no_squeeze then prog else fst (Squeeze.run prog) in
   (prog, wl)
 
+(* A --profile file, parsed and checked against the program it will
+   steer; a block the program lacks is the file's fault, not a pass's. *)
+let load_profile path prog =
+  let profile = or_die (Profile.of_string (read_file path)) in
+  match Profile.check profile prog with
+  | Ok () -> profile
+  | Error missing ->
+    Printf.eprintf "squashc: %s: profile does not match the program:\n" path;
+    List.iter (fun e -> Printf.eprintf "squashc:   %s\n" e) missing;
+    exit 2
+
 (* The built-in workloads named on the command line; all of them for none. *)
 let workloads_named = function
   | [] -> Workloads.all
@@ -523,14 +534,15 @@ let squash_cmd =
       value & flag
       & info [ "trace-passes" ]
           ~doc:"Print each pipeline pass as it runs (timing, size deltas, \
-                summary), then the per-pass statistics table.")
+                summary).")
   in
   let stats_json =
     Arg.(
       value
       & opt (some string) None
       & info [ "stats-json" ] ~docv:"FILE"
-          ~doc:"Write per-pass timing and size statistics as JSON.")
+          ~doc:"Write the coder's per-stream bits, the run's metrics and, \
+                with $(b,--verify), the runtime counters as JSON.")
   in
   let stream_bits =
     Arg.(
@@ -547,7 +559,7 @@ let squash_cmd =
     let input = resolve_input inputs wl in
     let profile =
       match profile_file with
-      | Some path -> or_die (Profile.of_string (read_file path))
+      | Some path -> load_profile path prog
       | None ->
         let p, _ = Profile.collect prog ~input in
         p
@@ -579,7 +591,6 @@ let squash_cmd =
         exit 1
     in
     Format.printf "%a@." Squash.pp_summary result;
-    if trace_passes then print_string (Pipeline.render_stats result.Squash.stats);
     let region_streams () =
       Array.map
         (fun (img : Rewrite.region_image) -> img.Rewrite.stream)
@@ -636,7 +647,7 @@ let squash_cmd =
       let codes = result.Squash.squashed.Rewrite.codes in
       let doc =
         Report.Json.Obj
-          ([ ("schema", Report.Json.String "pgcc-squash-stats-v4");
+          ([ ("schema", Report.Json.String "pgcc-squash-stats-v5");
              ("coder", Report.Json.String (Compress.coder_name codes));
              ("table_bits", Report.Json.Int (Compress.table_bits codes));
              ("stream_bits",
@@ -644,7 +655,6 @@ let squash_cmd =
                 (List.map
                    (fun (name, b) -> (name, Report.Json.Int b))
                    (coder_stream_bits ())));
-             ("pipeline", Pipeline.stats_json result.Squash.stats);
              ("metrics", Obs.Metrics.to_json metrics) ]
           @
           match !runtime_stats with
@@ -653,7 +663,7 @@ let squash_cmd =
       in
       try write_file path (Report.Json.to_string doc ^ "\n")
       with Sys_error msg ->
-        Printf.eprintf "squashc: cannot write pass stats: %s\n" msg;
+        Printf.eprintf "squashc: cannot write squash stats: %s\n" msg;
         exit 1)
   in
   Cmd.v
@@ -711,7 +721,7 @@ let attrib_cmd =
     let input = resolve_input inputs wl in
     let profile =
       match profile_file with
-      | Some path -> or_die (Profile.of_string (read_file path))
+      | Some path -> load_profile path prog
       | None ->
         let pinput =
           match wl with Some wl -> Workload.profiling_input wl | None -> input

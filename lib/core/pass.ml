@@ -60,32 +60,7 @@ let init ?(options = default_options) ?(setjmp_callers = []) prog profile =
     squashed = None;
   }
 
-type t = {
-  name : string;
-  descr : string;
-  paper : string;
-  requires : string list;
-  after : string list;
-  transform : state -> state;
-  note : state -> string;
-}
-
-type stats = {
-  pass_name : string;
-  elapsed_s : float;
-  instrs_before : int;
-  instrs_after : int;
-  words_before : int;
-  words_after : int;
-  alloc_words : int;
-  major_collections : int;
-  note : string;
-}
-
-let footprint st =
-  match st.squashed with
-  | Some sq -> Rewrite.total_words sq
-  | None -> Prog.text_words st.prog
+type t = { name : string; transform : state -> state; note : state -> string }
 
 let missing who what pass =
   invalid_arg

@@ -5,8 +5,8 @@
     (§4), buffer-safe analysis (§6.1) and the stub/decompressor rewrite
     (§2–3).  Each becomes a named {!t} over an explicit {!state} record
     that carries the program, the profile and every accumulated analysis.
-    {!Pipeline} composes, times and validates them; {!Squash.run} is a thin
-    wrapper over the standard pass list. *)
+    {!Pipeline} runs them in order; {!Squash.run} is a thin wrapper over
+    {!Pipeline.of_options}. *)
 
 type options = {
   theta : float;  (** Cold-code threshold θ ∈ [0, 1]. *)
@@ -60,42 +60,14 @@ val init :
 (** The state every pipeline starts from: no analyses computed yet. *)
 
 type t = {
-  name : string;  (** Unique within a pipeline; used for skipping,
-                      ordering constraints and stats. *)
-  descr : string;
-  paper : string;  (** Which paper section the pass implements. *)
-  requires : string list;
-      (** Hard prerequisites: these passes must appear earlier in the
-          pipeline or {!Pipeline.execute} rejects the pass list. *)
-  after : string list;
-      (** Soft ordering: if one of these passes is present anywhere in the
-          pipeline, it must come before this one. *)
+  name : string;
+      (** Names the pass in [--trace-passes] lines, {!Obs} pass spans,
+          {!Pipeline.Check_failed} and squashbench's [pass.<name>_ms]. *)
   transform : state -> state;
   note : state -> string;
-      (** One-line summary of what the pass did, read off the post-state
-          (shown by [--trace-passes] and recorded in {!stats}). *)
+      (** One-line summary of what the pass did, read off the post-state;
+          evaluated only when {!Pipeline.execute} is given [trace]. *)
 }
-
-type stats = {
-  pass_name : string;
-  elapsed_s : float;  (** Monotonic wall-clock seconds spent in
-                          [transform]. *)
-  instrs_before : int;  (** [Prog.instr_count] of the working program. *)
-  instrs_after : int;
-  words_before : int;  (** {!footprint} — program text words, or the full
-                           squashed footprint once the rewrite ran. *)
-  words_after : int;
-  alloc_words : int;
-      (** Approximate heap words allocated by [transform]
-          ([Gc.quick_stat] delta on the executing domain). *)
-  major_collections : int;
-      (** Major GC cycles that completed while [transform] ran. *)
-  note : string;
-}
-
-val footprint : state -> int
-(** The current size in words: [Rewrite.total_words] of the squashed image
-    when present, [Prog.text_words] of the working program otherwise. *)
 
 val get_cold : who:string -> state -> Cold.t
 val get_regions : who:string -> state -> Regions.t
@@ -103,4 +75,5 @@ val get_buffer_safe : who:string -> state -> Buffer_safe.t
 val get_excluded : who:string -> state -> string list
 val get_squashed : who:string -> state -> Rewrite.t
 (** Accessors that fail with [Invalid_argument] naming [who] and the
-    missing pass when the analysis has not been computed. *)
+    missing pass when the analysis has not been computed: a pass list that
+    lacks a prerequisite fails here, by name. *)

@@ -1,6 +1,6 @@
 exception Check_failed of { pass : string; errors : string list }
 
-(* --- the standard passes ------------------------------------------- *)
+(* --- the passes ------------------------------------------------------ *)
 
 (* Functions whose code contains a setjmp system call. *)
 let detect_setjmp_callers (p : Prog.t) =
@@ -44,13 +44,20 @@ let unanalysable_funcs (p : Prog.t) =
 let is_cold_or_fresh st cold f b =
   Cold.is_cold cold f b || Profile.freq st.Pass.profile f b = 0
 
+(* Whether any block of [fname] landed in a region. *)
+let has_compressed regions (p : Prog.t) fname =
+  match Prog.find_func p fname with
+  | None -> false
+  | Some f ->
+    let any = ref false in
+    Array.iteri
+      (fun i _ -> if Regions.block_region regions fname i <> None then any := true)
+      f.Prog.Func.blocks;
+    !any
+
 let resolve_pass =
   {
     Pass.name = "resolve";
-    descr = "constant propagation resolving unannotated indirect jumps";
-    paper = "§6.2";
-    requires = [];
-    after = [];
     transform =
       (fun st ->
         let prog, sites = Consts.resolve_tables st.Pass.prog in
@@ -64,10 +71,6 @@ let resolve_pass =
 let cold_pass =
   {
     Pass.name = "cold";
-    descr = "cold-block identification at threshold θ";
-    paper = "§5";
-    requires = [];
-    after = [];
     transform =
       (fun st ->
         {
@@ -88,10 +91,6 @@ let cold_pass =
 let unswitch_pass =
   {
     Pass.name = "unswitch";
-    descr = "jump-table unswitching of cold analysable dispatches";
-    paper = "§6.2";
-    requires = [ "cold" ];
-    after = [];
     transform =
       (fun st ->
         let cold = Pass.get_cold ~who:"unswitch" st in
@@ -109,17 +108,13 @@ let unswitch_pass =
           (List.length st.Pass.unmatched));
   }
 
+(* In fallback mode (no unswitching), dispatch blocks and their tables stay
+   in place, which is safe — but when unswitch runs, a dispatch whose idiom
+   did not match excludes its whole function, so this pass comes after
+   unswitch in {!of_options}. *)
 let exclude_pass =
   {
     Pass.name = "exclude";
-    descr = "never-compress set: entry, setjmp callers, unanalysable jumps";
-    paper = "§2.2";
-    requires = [];
-    (* In fallback mode (no unswitching), dispatch blocks and their tables
-       stay in place, which is safe — but when unswitch runs, a dispatch
-       whose idiom did not match excludes its whole function, so the
-       exclusion pass must see unswitch's verdict. *)
-    after = [ "unswitch" ];
     transform =
       (fun st ->
         let p = st.Pass.prog in
@@ -143,10 +138,6 @@ let exclude_pass =
 let regions_pass =
   {
     Pass.name = "regions";
-    descr = "compressible-region formation and packing";
-    paper = "§4";
-    requires = [ "cold"; "exclude" ];
-    after = [];
     transform =
       (fun st ->
         let cold = Pass.get_cold ~who:"regions" st in
@@ -180,25 +171,11 @@ let regions_pass =
 let buffer_safe_pass =
   {
     Pass.name = "buffer-safe";
-    descr = "buffer-safety analysis of call sites in compressed code";
-    paper = "§6.1";
-    requires = [ "regions" ];
-    after = [];
     transform =
       (fun st ->
         let regions = Pass.get_regions ~who:"buffer-safe" st in
         let p = st.Pass.prog in
-        let has_compressed fname =
-          match Prog.find_func p fname with
-          | None -> false
-          | Some f ->
-            let any = ref false in
-            Array.iteri
-              (fun i _ ->
-                if Regions.block_region regions fname i <> None then any := true)
-              f.Prog.Func.blocks;
-            !any
-        in
+        let has_compressed = has_compressed regions p in
         let o = st.Pass.options in
         let bsafe =
           if not o.Pass.use_buffer_safe then
@@ -225,19 +202,9 @@ let buffer_safe_pass =
           else
             (* Recompute the conservative answer so the trace shows what the
                sharpening bought. *)
-            let regions = Pass.get_regions ~who:"buffer-safe" st in
             let p = st.Pass.prog in
-            let has_compressed fname =
-              match Prog.find_func p fname with
-              | None -> false
-              | Some f ->
-                let any = ref false in
-                Array.iteri
-                  (fun i _ ->
-                    if Regions.block_region regions fname i <> None then
-                      any := true)
-                  f.Prog.Func.blocks;
-                !any
+            let has_compressed =
+              has_compressed (Pass.get_regions ~who:"buffer-safe" st) p
             in
             let conservative =
               List.length
@@ -251,10 +218,6 @@ let buffer_safe_pass =
 let rewrite_pass =
   {
     Pass.name = "rewrite";
-    descr = "stub emission, compression and decompressor image build";
-    paper = "§2–3";
-    requires = [ "regions"; "buffer-safe" ];
-    after = [];
     transform =
       (fun st ->
         let o = st.Pass.options in
@@ -274,242 +237,74 @@ let rewrite_pass =
           sq.Rewrite.entry_stub_words sq.Rewrite.buffer_words);
   }
 
-let lint_pass =
-  {
-    Pass.name = "lint";
-    descr = "whole-image static verification of the squashed executable";
-    paper = "§2–6";
-    requires = [ "rewrite" ];
-    after = [];
-    transform =
-      (fun st ->
-        let sq = Pass.get_squashed ~who:"lint" st in
-        let diags = Verify.run sq in
-        (match Verify.errors diags with
-        | [] -> ()
-        | errs ->
-          raise
-            (Check_failed
-               { pass = "lint"; errors = List.map Verify.message errs }));
-        st);
-    note =
-      (fun st ->
-        let diags = Verify.run (Pass.get_squashed ~who:"lint" st) in
-        Printf.sprintf "0 errors, %d warnings" (List.length diags));
-  }
-
-let prove_pass =
-  {
-    Pass.name = "prove";
-    descr = "symbolic equivalence proof of every region against its rewrite";
-    paper = "§2–3";
-    requires = [ "rewrite" ];
-    after = [ "lint" ];
-    transform =
-      (fun st ->
-        let sq = Pass.get_squashed ~who:"prove" st in
-        (* Two slots are enough to exercise the slot-relative rebias of
-           every external displacement on top of the slot-0 layout. *)
-        let r = Prove.run ~slots:2 sq in
-        (match r.Prove.failures with
-        | [] -> ()
-        | fs ->
-          raise
-            (Check_failed
-               { pass = "prove"; errors = List.map Prove.failure_message fs }));
-        st);
-    note =
-      (fun st ->
-        let r = Prove.run ~slots:2 (Pass.get_squashed ~who:"prove" st) in
-        Printf.sprintf "%d/%d block proofs, %d conservative" r.Prove.proved
-          r.Prove.blocks r.Prove.conservative);
-  }
-
-let standard =
-  [ resolve_pass; cold_pass; unswitch_pass; exclude_pass; regions_pass;
-    buffer_safe_pass; rewrite_pass ]
-
-let skip names passes =
-  List.filter (fun (p : Pass.t) -> not (List.mem p.Pass.name names)) passes
-
 let of_options (o : Pass.options) =
-  if o.Pass.unswitch then standard else skip [ "unswitch" ] standard
-
-let by_name name =
-  List.find_opt
-    (fun (p : Pass.t) -> p.Pass.name = name)
-    (standard @ [ lint_pass; prove_pass ])
-
-let names passes = List.map (fun (p : Pass.t) -> p.Pass.name) passes
+  [ resolve_pass; cold_pass ]
+  @ (if o.Pass.unswitch then [ unswitch_pass ] else [])
+  @ [ exclude_pass; regions_pass; buffer_safe_pass; rewrite_pass ]
 
 (* --- execution ------------------------------------------------------ *)
 
-type run_stats = { passes : Pass.stats list; total_s : float }
-
-let validate_order passes =
-  let all = names passes in
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (p : Pass.t) ->
-      if Hashtbl.mem seen p.Pass.name then
-        invalid_arg
-          (Printf.sprintf "Pipeline.execute: pass %S appears twice" p.Pass.name);
-      List.iter
-        (fun r ->
-          if not (Hashtbl.mem seen r) then
-            invalid_arg
-              (Printf.sprintf
-                 "Pipeline.execute: pass %S requires %S to run earlier"
-                 p.Pass.name r))
-        p.Pass.requires;
-      List.iter
-        (fun a ->
-          if List.mem a all && not (Hashtbl.mem seen a) then
-            invalid_arg
-              (Printf.sprintf
-                 "Pipeline.execute: pass %S must come after %S" p.Pass.name a))
-        p.Pass.after;
-      Hashtbl.replace seen p.Pass.name ())
-    passes
-
 let check_state (st : Pass.state) =
-  let p = st.Pass.prog in
-  let ir = match Prog.validate p with Ok () -> [] | Error es -> es in
-  (* A profiled block the program no longer has means a pass renumbered or
-     dropped blocks without rebuilding the profile. *)
-  let stale =
-    Profile.fold
-      (fun (fname, b) ~freq:_ ~weight:_ acc ->
-        match Prog.find_func p fname with
-        | None ->
-          Printf.sprintf "profile names unknown function %s (block %d)" fname b :: acc
-        | Some f when b < 0 || b >= Array.length f.Prog.Func.blocks ->
-          Printf.sprintf "profile names missing block %s.%d" fname b :: acc
-        | Some _ -> acc)
-      st.Pass.profile []
-  in
-  match ir @ List.sort compare stale with [] -> Ok () | es -> Error es
+  let errors = function Ok () -> [] | Error es -> es in
+  match
+    errors (Prog.validate st.Pass.prog)
+    @ errors (Profile.check st.Pass.profile st.Pass.prog)
+  with
+  | [] -> Ok ()
+  | es -> Error es
+
+(* The current size in words: the squashed footprint once the rewrite
+   ran, the working program's text before. *)
+let footprint (st : Pass.state) =
+  match st.Pass.squashed with
+  | Some sq -> Rewrite.total_words sq
+  | None -> Prog.text_words st.Pass.prog
 
 let execute ?(check_each = false) ?trace ?obs ~passes st =
-  validate_order passes;
-  let emit line = match trace with Some f -> f line | None -> () in
-  let st, rev_stats =
-    List.fold_left
-      (fun (st, acc) (p : Pass.t) ->
-        let instrs_before = Prog.instr_count st.Pass.prog in
-        let words_before = Pass.footprint st in
-        let t0 = Obs.Clock.now () in
-        let g0 = Gc.quick_stat () in
-        (match obs with
-        | None -> ()
-        | Some o ->
+  let sizes st = (Prog.instr_count st.Pass.prog, footprint st) in
+  List.fold_left
+    (fun st (p : Pass.t) ->
+      let before = Option.map (fun _ -> sizes st) trace in
+      let t0 = Obs.Clock.now () in
+      Option.iter
+        (fun o ->
           Obs.event o
             { ts = Obs.Event.Mono t0;
-              payload = Obs.Event.Pass_begin { name = p.Pass.name } });
-        let st' = p.Pass.transform st in
-        let elapsed_s = Obs.Clock.now () -. t0 in
-        let g1 = Gc.quick_stat () in
-        let alloc_words =
-          int_of_float
-            (Float.max 0.0
-               (g1.Gc.minor_words +. g1.Gc.major_words -. g1.Gc.promoted_words
-               -. (g0.Gc.minor_words +. g0.Gc.major_words
-                  -. g0.Gc.promoted_words)))
-        in
-        let major_collections = g1.Gc.major_collections - g0.Gc.major_collections in
-        (match obs with
-        | None -> ()
-        | Some o ->
+              payload = Obs.Event.Pass_begin { name = p.Pass.name } })
+        obs;
+      let st' = p.Pass.transform st in
+      let elapsed_s = Obs.Clock.now () -. t0 in
+      Option.iter
+        (fun o ->
           Obs.event o
             { ts = Obs.Event.Mono (t0 +. elapsed_s);
               payload = Obs.Event.Pass_end { name = p.Pass.name; elapsed_s } };
-          Obs.incr o "pipeline.passes_run";
-          Obs.observe o "pipeline.pass_alloc_words" alloc_words;
-          Obs.max_gauge o "gc.top_heap_words" g1.Gc.top_heap_words);
-        (if check_each then
-           match check_state st' with
-           | Ok () -> ()
-           | Error errors ->
-             raise (Check_failed { pass = p.Pass.name; errors }));
-        let s =
-          {
-            Pass.pass_name = p.Pass.name;
-            elapsed_s;
-            instrs_before;
-            instrs_after = Prog.instr_count st'.Pass.prog;
-            words_before;
-            words_after = Pass.footprint st';
-            alloc_words;
-            major_collections;
-            note = p.Pass.note st';
-          }
-        in
+          Obs.incr o "pipeline.passes_run")
+        obs;
+      (if check_each then
+         match check_state st' with
+         | Ok () -> ()
+         | Error errors -> raise (Check_failed { pass = p.Pass.name; errors }));
+      (match (trace, before) with
+      | Some emit, Some (instrs0, words0) ->
+        let instrs, words = sizes st' in
         emit
           (Printf.sprintf "pass %-12s %7.2f ms  %6d instrs (%+d)  %6d words (%+d)  %s"
-             s.Pass.pass_name (1000.0 *. s.Pass.elapsed_s) s.Pass.instrs_after
-             (s.Pass.instrs_after - s.Pass.instrs_before)
-             s.Pass.words_after
-             (s.Pass.words_after - s.Pass.words_before)
-             s.Pass.note);
-        (st', s :: acc))
-      (st, []) passes
-  in
-  let stats = List.rev rev_stats in
-  let total_s =
-    List.fold_left (fun acc (s : Pass.stats) -> acc +. s.Pass.elapsed_s) 0.0 stats
-  in
-  (st, { passes = stats; total_s })
+             p.Pass.name (1000.0 *. elapsed_s) instrs (instrs - instrs0) words
+             (words - words0) (p.Pass.note st'))
+      | _ -> ());
+      st')
+    st passes
 
-(* --- stats rendering ------------------------------------------------ *)
-
-let render_stats rs =
-  let t =
-    Report.Table.create ~title:"pipeline passes"
-      [ ("pass", Report.Table.Left); ("time (ms)", Report.Table.Right);
-        ("share", Report.Table.Right); ("instrs", Report.Table.Right);
-        ("Δinstrs", Report.Table.Right); ("words", Report.Table.Right);
-        ("Δwords", Report.Table.Right); ("alloc (kw)", Report.Table.Right);
-        ("note", Report.Table.Left) ]
-  in
-  List.iter
-    (fun (s : Pass.stats) ->
-      let share =
-        if rs.total_s > 0.0 then s.Pass.elapsed_s /. rs.total_s else 0.0
-      in
-      Report.Table.add_row t
-        [ s.Pass.pass_name;
-          Report.Table.cell_float ~decimals:2 (1000.0 *. s.Pass.elapsed_s);
-          Report.Table.cell_percent ~decimals:1 share;
-          string_of_int s.Pass.instrs_after;
-          Printf.sprintf "%+d" (s.Pass.instrs_after - s.Pass.instrs_before);
-          string_of_int s.Pass.words_after;
-          Printf.sprintf "%+d" (s.Pass.words_after - s.Pass.words_before);
-          Report.Table.cell_float ~decimals:1
-            (float_of_int s.Pass.alloc_words /. 1000.0);
-          s.Pass.note ])
-    rs.passes;
-  Report.Table.add_separator t;
-  Report.Table.add_row t
-    [ "total"; Report.Table.cell_float ~decimals:2 (1000.0 *. rs.total_s);
-      ""; ""; ""; ""; ""; ""; "" ];
-  Report.Table.render t
-
-let stats_json rs =
-  let open Report.Json in
-  Obj
-    [ ("total_s", Float rs.total_s);
-      ( "passes",
-        List
-          (List.map
-             (fun (s : Pass.stats) ->
-               Obj
-                 [ ("name", String s.Pass.pass_name);
-                   ("elapsed_s", Float s.Pass.elapsed_s);
-                   ("instrs_before", Int s.Pass.instrs_before);
-                   ("instrs_after", Int s.Pass.instrs_after);
-                   ("words_before", Int s.Pass.words_before);
-                   ("words_after", Int s.Pass.words_after);
-                   ("alloc_words", Int s.Pass.alloc_words);
-                   ("major_collections", Int s.Pass.major_collections);
-                   ("note", String s.Pass.note) ])
-             rs.passes) ) ]
+let check_image sq =
+  (match Verify.errors (Verify.run sq) with
+  | [] -> ()
+  | errs ->
+    raise (Check_failed { pass = "lint"; errors = List.map Verify.message errs }));
+  (* Two slots are enough to exercise the slot-relative rebias of every
+     external displacement on top of the slot-0 layout. *)
+  match (Prove.run ~slots:2 sq).Prove.failures with
+  | [] -> ()
+  | fs ->
+    raise
+      (Check_failed { pass = "prove"; errors = List.map Prove.failure_message fs })

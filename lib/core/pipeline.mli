@@ -1,7 +1,7 @@
-(** The instrumented pass pipeline behind {!Squash.run}.
+(** The pass pipeline behind {!Squash.run}.
 
-    The standard pipeline is the paper's transformation sequence, one
-    {!Pass.t} per stage:
+    The pipeline is the paper's transformation sequence, one {!Pass.t} per
+    stage:
 
     - ["resolve"] — constant-propagation resolution of unannotated
       indirect jumps: a [Jump_indirect { table = None; _ }] whose register
@@ -13,7 +13,8 @@
       {!of_options} when [options.unswitch] is false
     - ["exclude"] — never-compress set: the entry function, setjmp
       callers, functions with unanalysable indirect jumps, and unmatched
-      dispatches (§2.2, §6.2)
+      dispatches (§2.2, §6.2); after ["unswitch"], whose unmatched
+      dispatches it excludes
     - ["regions"] — compressible-region formation and packing (§4)
     - ["buffer-safe"] — buffer-safety analysis (§6.1); honours
       [options.use_buffer_safe] by treating every function as unsafe when
@@ -21,14 +22,14 @@
       {!Buffer_safe.analyze_sharp} instead of the conservative analysis
     - ["rewrite"] — the stub/decompressor image build (§2–3)
 
-    {!execute} runs a pass list over a {!Pass.state}, recording per-pass
-    wall-clock time and instruction/word deltas, optionally tracing each
-    pass and validating the IR after every pass. *)
+    {!execute} runs a pass list over a {!Pass.state}, optionally tracing
+    each pass and validating the IR after every pass; {!check_image} is
+    the whole-image check that follows the list. *)
 
 exception Check_failed of { pass : string; errors : string list }
 (** Raised by [execute ~check_each:true] when validation fails after a
-    pass (the damage happened in exactly [pass]), and by {!lint_pass} and
-    {!prove_pass} when the finished image fails its check. *)
+    pass (the damage happened in exactly [pass]), and by {!check_image}
+    (as pass ["lint"] or ["prove"]) when the finished image fails. *)
 
 val resolve_pass : Pass.t
 val cold_pass : Pass.t
@@ -38,38 +39,9 @@ val regions_pass : Pass.t
 val buffer_safe_pass : Pass.t
 val rewrite_pass : Pass.t
 
-val lint_pass : Pass.t
-(** Opt-in: {!Verify.run}'s whole-image lints over the squashed image;
-    raises {!Check_failed} (as pass ["lint"]) when any error-severity
-    diagnostic fires.  Not part of {!standard}; [Squash.run ~check:true]
-    appends it, followed by {!prove_pass}. *)
-
-val prove_pass : Pass.t
-(** Opt-in: {!Prove.run} with two cache slots over the squashed image, the
-    per-region half of the check; raises {!Check_failed} (as pass
-    ["prove"]) when any region fails a proof obligation.  Ordered after
-    ["lint"] when both run. *)
-
-val standard : Pass.t list
-(** All seven passes, in paper order. *)
-
 val of_options : Pass.options -> Pass.t list
-(** The standard list with option-disabled passes removed (currently:
-    ["unswitch"] when [options.unswitch] is false).  This replaces the old
-    ad-hoc [if options.unswitch then … else] branch. *)
-
-val skip : string list -> Pass.t list -> Pass.t list
-(** Remove passes by name. *)
-
-val by_name : string -> Pass.t option
-(** Look up a standard pass, ["lint"] or ["prove"]. *)
-
-val names : Pass.t list -> string list
-
-type run_stats = {
-  passes : Pass.stats list;  (** One record per executed pass, in order. *)
-  total_s : float;  (** Wall-clock total across all passes. *)
-}
+(** The pass list, in paper order: all seven passes, less ["unswitch"]
+    when [options.unswitch] is false. *)
 
 val execute :
   ?check_each:bool ->
@@ -77,24 +49,22 @@ val execute :
   ?obs:Obs.t ->
   passes:Pass.t list ->
   Pass.state ->
-  Pass.state * run_stats
-(** Run [passes] in order.
-
-    Ordering is validated up front: every [requires] of a pass must appear
-    earlier in the list, every [after] constraint must hold, and no name
-    may repeat — violations raise [Invalid_argument] before anything runs.
+  Pass.state
+(** Run [passes] in order.  A pass whose prerequisite did not run fails
+    with the [Invalid_argument] of the {!Pass} accessor it calls.
 
     With [~check_each:true], after every pass the state's program must
-    pass {!Prog.validate} and every profiled block must still exist (a
-    pass that renumbers or drops blocks must rebuild the profile); a
-    failure raises {!Check_failed} naming the offending pass.  [trace] receives one line per pass as it completes.  [obs]
-    receives {!Obs.Event.Pass_begin}/{!Obs.Event.Pass_end} span events
-    (wall clock) and a ["pipeline.passes_run"] counter bump per pass. *)
+    pass {!Prog.validate} and the profile must still match it
+    ({!Profile.check}: a pass that renumbers or drops blocks must rebuild
+    the profile); a failure raises {!Check_failed} naming the offending
+    pass.  [trace] receives one line per pass as it completes: wall-clock
+    ms, instruction and word deltas, and the pass's {!Pass.note}; none of
+    these is computed without [trace].  [obs] receives
+    {!Obs.Event.Pass_begin}/{!Obs.Event.Pass_end} span events (wall clock)
+    and a ["pipeline.passes_run"] counter bump per pass. *)
 
-val render_stats : run_stats -> string
-(** An aligned text table of the per-pass statistics. *)
-
-val stats_json : run_stats -> Report.Json.t
-(** Machine-readable form: [{"total_s": …, "passes": [{"name": …,
-    "elapsed_s": …, "instrs_before": …, "instrs_after": …,
-    "words_before": …, "words_after": …, "note": …}, …]}]. *)
+val check_image : Rewrite.t -> unit
+(** The check of a finished image: {!Verify.run}'s whole-image lints,
+    raising {!Check_failed} as pass ["lint"] on any error-severity
+    diagnostic, then {!Prove.run} over two cache slots, raising it as pass
+    ["prove"] when any region fails a proof obligation. *)

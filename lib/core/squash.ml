@@ -25,18 +25,17 @@ type result = {
   original_words : int;
   squashed_words : int;
   options : options;
-  stats : Pipeline.run_stats;
 }
 
 let run ?(options = default_options) ?(setjmp_callers = []) ?(check = false) ?trace
     ?obs (p : Prog.t) prof =
-  let state = Pass.init ~options ~setjmp_callers p prof in
-  let passes =
-    Pipeline.of_options options
-    @ if check then [ Pipeline.lint_pass; Pipeline.prove_pass ] else []
+  let state =
+    Pipeline.execute ~check_each:check ?trace ?obs
+      ~passes:(Pipeline.of_options options)
+      (Pass.init ~options ~setjmp_callers p prof)
   in
-  let state, stats = Pipeline.execute ~check_each:check ?trace ?obs ~passes state in
   let squashed = Pass.get_squashed ~who:"Squash.run" state in
+  if check then Pipeline.check_image squashed;
   {
     squashed;
     cold = Pass.get_cold ~who:"Squash.run" state;
@@ -48,7 +47,6 @@ let run ?(options = default_options) ?(setjmp_callers = []) ?(check = false) ?tr
     original_words = state.Pass.original_words;
     squashed_words = Rewrite.total_words squashed;
     options;
-    stats;
   }
 
 let size_reduction r =

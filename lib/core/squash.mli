@@ -47,16 +47,12 @@ type result = {
   original_words : int;  (** Footprint of the input program (words). *)
   squashed_words : int;
   options : options;
-  stats : Pipeline.run_stats;
-      (** Per-pass wall-clock timing and size deltas from the pipeline
-          run; render with {!Pipeline.render_stats} or
-          {!Pipeline.stats_json}. *)
 }
 
 val run :
   ?options:options -> ?setjmp_callers:string list -> ?check:bool ->
   ?trace:(string -> unit) -> ?obs:Obs.t -> Prog.t -> Profile.t -> result
-(** A thin composition of the standard pass list: equivalent to
+(** A thin composition of the pass list: equivalent to
     [Pipeline.execute ~passes:(Pipeline.of_options options)] over
     [Pass.init].
 
@@ -68,10 +64,10 @@ val run :
     [check] runs the full check and raises {!Pipeline.Check_failed} at the
     first pass that fails it: the IR (and the profile's indices into it)
     is validated after every pass ([Pipeline.execute ~check_each:true]),
-    then {!Pipeline.lint_pass} runs {!Verify}'s whole-image lints and
-    {!Pipeline.prove_pass} proves every region ({!Prove}) over two cache
-    slots.  [trace] receives a one-line report per pass as it completes;
-    [obs] receives pass-span events (see {!Pipeline.execute}). *)
+    then {!Pipeline.check_image} runs {!Verify}'s whole-image lints and
+    proves every region ({!Prove}) over two cache slots, once each.
+    [trace] receives a one-line report per pass as it completes; [obs]
+    receives pass-span events (see {!Pipeline.execute}). *)
 
 val size_reduction : result -> float
 (** [(original - squashed) / original], the quantity of Figures 6/7(a). *)

@@ -1,16 +1,8 @@
-(* Bump whenever the Marshal layout of any cached payload changes
-   (v2: hook_invocations in Vm.outcome, per-region cycles in
-   Runtime.stats; v3: the coder variant in Compress.codes; v4: decode
-   tables inside Canonical.t, cache counters in Runtime.stats; v6:
-   alloc_words/major_collections in Pass.stats, marshalled inside every
-   Squash.result's pipeline stats; v7: Rewrite.region_image lost its
-   [words] field). *)
-let schema_version = 7
-
 let default_dir = "_cache"
 
 type t = {
   root : string;
+  build : string;
   m : Mutex.t;
   obs : Obs.t option;
   mutable hits : int;
@@ -19,9 +11,18 @@ type t = {
   mutable errors : int;
 }
 
+(* The build that reads and writes entries: a digest of the running
+   executable, so any code change (rebuilt binary) invalidates every entry
+   it could have changed.  An executable that cannot be read gets an id
+   of its own process, whose entries no other run will ever hit. *)
+let build_id () =
+  try Digest.to_hex (Digest.file Sys.executable_name)
+  with Sys_error _ ->
+    Printf.sprintf "unhashed-%d-%.0f" (Unix.getpid ()) (1e6 *. Unix.gettimeofday ())
+
 let create ?(dir = default_dir) ?obs () =
-  { root = dir; m = Mutex.create (); obs; hits = 0; misses = 0; stores = 0;
-    errors = 0 }
+  { root = dir; build = build_id (); m = Mutex.create (); obs; hits = 0;
+    misses = 0; stores = 0; errors = 0 }
 
 let dir t = t.root
 
@@ -35,13 +36,10 @@ let digest parts =
     parts;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let version_dir t = Filename.concat t.root (Printf.sprintf "v%d" schema_version)
-
 let entry_path t ~kind ~key =
-  Filename.concat (version_dir t) (Printf.sprintf "%s-%s.bin" kind key)
+  Filename.concat t.root (Printf.sprintf "%s-%s.bin" kind key)
 
-let header ~kind =
-  Printf.sprintf "pgcc-cache v%d ocaml-%s %s" schema_version Sys.ocaml_version kind
+let header t ~kind = Printf.sprintf "pgcc-cache %s %s" t.build kind
 
 let count t f =
   Mutex.lock t.m;
@@ -68,19 +66,20 @@ let find t ~kind ~key =
     None
   | ic ->
     let v =
-      try
-        if input_line ic <> header ~kind then None
-        else Some (Marshal.from_channel ic)
-      with _ -> None
+      match input_line ic = header t ~kind with
+      | true -> (try `Hit (Marshal.from_channel ic) with _ -> `Torn)
+      | false -> `Other_build
+      | exception _ -> `Torn
     in
     close_in_noerr ic;
     count t (fun t ->
         match v with
-        | Some _ -> t.hits <- t.hits + 1
-        | None ->
-          (* A file was present but unreadable: stale schema or torn entry. *)
+        | `Hit _ -> t.hits <- t.hits + 1
+        | `Other_build -> t.misses <- t.misses + 1
+        | `Torn ->
           t.misses <- t.misses + 1;
           t.errors <- t.errors + 1);
+    let v = match v with `Hit v -> Some v | `Other_build | `Torn -> None in
     observe_lookup t ~hit:(v <> None) (Obs.Clock.now () -. t0);
     v
 
@@ -98,9 +97,9 @@ let store t ~kind ~key v =
       (Domain.self () :> int)
   in
   match
-    mkdir_p (version_dir t);
+    mkdir_p t.root;
     let oc = open_out_bin tmp in
-    output_string oc (header ~kind);
+    output_string oc (header t ~kind);
     output_char oc '\n';
     Marshal.to_channel oc v [];
     close_out oc;
@@ -134,7 +133,7 @@ let stats_json t =
   let s = stats t in
   Report.Json.Obj
     [ ("dir", Report.Json.String t.root);
-      ("schema_version", Report.Json.Int schema_version);
+      ("build", Report.Json.String t.build);
       ("hits", Report.Json.Int s.hits);
       ("misses", Report.Json.Int s.misses);
       ("stores", Report.Json.Int s.stores);

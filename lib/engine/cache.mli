@@ -1,24 +1,21 @@
 (** A persistent, content-addressed, on-disk result cache.
 
-    Entries live under [<dir>/v<schema_version>/<kind>-<key>.bin]; [key] is
-    a content digest ({!digest}) of everything the cached value depends on,
-    so a changed input can never serve a stale entry — it simply hashes to
-    a different file.  Each entry starts with a one-line header naming the
-    schema version, the OCaml version and the entry kind; a reader that
-    finds anything unexpected (wrong header, truncated marshal, a file from
-    an older schema) treats the entry as a miss, so stale-schema entries
-    are ignored rather than misinterpreted.
+    Entries live under [<dir>/<kind>-<key>.bin]; [key] is a content digest
+    ({!digest}) of everything the cached value depends on, so a changed
+    input can never serve a stale entry — it simply hashes to a different
+    file.  Each entry starts with a one-line header naming the build that
+    stored it (a digest of the running executable, taken once per
+    {!create}) and the entry kind.  A changed program is a changed build,
+    so an entry another build stored reads as a miss and is overwritten
+    by the next {!store}; nothing has to be bumped by hand when a cached
+    type or computation changes.
 
     Writes are atomic (temp file + [Sys.rename]) and the store is safe to
     share between the domains of one process and between concurrent
     processes.  Values are serialised with [Marshal]: each [kind] must be
-    used with exactly one OCaml type, and {!schema_version} must be bumped
-    whenever one of those types (or the semantics of the cached
-    computation) changes. *)
+    used with exactly one OCaml type within a build. *)
 
 type t
-
-val schema_version : int
 
 val default_dir : string
 (** ["_cache"]. *)
@@ -35,7 +32,9 @@ val digest : string list -> string
     partition into list elements matters). *)
 
 val find : t -> kind:string -> key:string -> 'a option
-(** [None] on a missing, stale or unreadable entry (counted as a miss). *)
+(** [None] on a missing entry, one stored by another build, or an
+    unreadable one (each counted as a miss; an unreadable entry is also
+    counted as an error). *)
 
 val store : t -> kind:string -> key:string -> 'a -> unit
 (** Atomically persist an entry; I/O errors are swallowed (and counted) —

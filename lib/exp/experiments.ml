@@ -564,127 +564,6 @@ let coders () =
 
 (* ------------------------------------------------------------------ *)
 
-let passes () =
-  let theta = 1e-3 in
-  ignore (submit (grid_cells [ opts theta ]));
-  let pass_names = Pipeline.names (Pipeline.of_options (opts theta)) in
-  let t =
-    Report.Table.create
-      ~title:
-        (Printf.sprintf
-           "Pipeline: where squash time goes at θ=%g (per-pass wall clock, ms)"
-           theta)
-      (("Program", Report.Table.Left)
-      :: List.map (fun n -> (n, Report.Table.Right)) pass_names
-      @ [ ("total", Report.Table.Right) ])
-  in
-  let sums = Hashtbl.create 8 in
-  let totals = ref [] in
-  List.iter
-    (fun wl ->
-      let p = Exp_data.prepare wl in
-      let r = Exp_data.squash_result p (opts theta) in
-      let stats = r.Squash.stats in
-      let cells =
-        List.map
-          (fun name ->
-            match
-              List.find_opt
-                (fun (s : Pass.stats) -> s.Pass.pass_name = name)
-                stats.Pipeline.passes
-            with
-            | None -> "-"
-            | Some s ->
-              Hashtbl.replace sums name
-                (s.Pass.elapsed_s
-                +. Option.value ~default:0.0 (Hashtbl.find_opt sums name));
-              Report.Table.cell_float ~decimals:2 (1000.0 *. s.Pass.elapsed_s))
-          pass_names
-      in
-      totals := stats.Pipeline.total_s :: !totals;
-      Report.Table.add_row t
-        ((wl.Workload.name :: cells)
-        @ [ Report.Table.cell_float ~decimals:2 (1000.0 *. stats.Pipeline.total_s) ]))
-    Workloads.all;
-  Report.Table.add_separator t;
-  let grand_total = List.fold_left ( +. ) 0.0 !totals in
-  Report.Table.add_row t
-    (("sum (share)"
-     :: List.map
-          (fun name ->
-            let s = Option.value ~default:0.0 (Hashtbl.find_opt sums name) in
-            Printf.sprintf "%.2f (%s)" (1000.0 *. s)
-              (if grand_total > 0.0 then
-                 Report.Table.cell_percent ~decimals:1 (s /. grand_total)
-               else "-"))
-          pass_names)
-    @ [ Report.Table.cell_float ~decimals:2 (1000.0 *. grand_total) ]);
-  (* Before/after of the PR-2 packing rework: rebuild each workload's
-     regions at the most aggressive threshold with the per-round rescan
-     reference and with the incremental packer, on exactly the inputs the
-     pipeline's regions pass saw.  The partitions are checked identical;
-     only the time may differ. *)
-  let theta_pack = 1.0 in
-  let t2 =
-    Report.Table.create
-      ~title:
-        (Printf.sprintf
-           "Region formation at θ=%g: per-round rescan reference vs incremental \
-            packer (ms)"
-           theta_pack)
-      [ ("Program", Report.Table.Left); ("rescan", Report.Table.Right);
-        ("incremental", Report.Table.Right); ("speedup", Report.Table.Right) ]
-  in
-  let tot_rescan = ref 0.0 and tot_inc = ref 0.0 in
-  List.iter
-    (fun wl ->
-      let p = Exp_data.prepare wl in
-      let r = Exp_data.squash_result p (opts theta_pack) in
-      let o = r.Squash.options in
-      let prog = r.Squash.squashed.Rewrite.prog in
-      let compressible f b =
-        (not (List.mem f r.Squash.excluded_funcs))
-        && (Cold.is_cold r.Squash.cold f b
-           || Profile.freq p.Exp_data.profile f b = 0)
-      in
-      let params =
-        {
-          Regions.k_bytes = o.Squash.k_bytes;
-          gamma = o.Squash.gamma;
-          pack = o.Squash.pack;
-          strategy = o.Squash.regions_strategy;
-        }
-      in
-      let time packer =
-        let t0 = Unix.gettimeofday () in
-        let t = Regions.build ~packer prog ~compressible ~params in
-        (Unix.gettimeofday () -. t0, t)
-      in
-      let d_rescan, t_rescan = time `Rescan in
-      let d_inc, t_inc = time `Incremental in
-      let fingerprint (t : Regions.t) =
-        Array.map (fun (rg : Regions.region) -> rg.Regions.blocks) t.Regions.regions
-      in
-      if fingerprint t_rescan <> fingerprint t_inc then
-        failwith (wl.Workload.name ^ ": packers disagree");
-      tot_rescan := !tot_rescan +. d_rescan;
-      tot_inc := !tot_inc +. d_inc;
-      Report.Table.add_row t2
-        [ wl.Workload.name;
-          Report.Table.cell_float ~decimals:2 (1000.0 *. d_rescan);
-          Report.Table.cell_float ~decimals:2 (1000.0 *. d_inc);
-          Printf.sprintf "%.1fx" (d_rescan /. d_inc) ])
-    Workloads.all;
-  Report.Table.add_separator t2;
-  let speedup = !tot_rescan /. !tot_inc in
-  Report.Table.add_row t2
-    [ "sum"; Report.Table.cell_float ~decimals:2 (1000.0 *. !tot_rescan);
-      Report.Table.cell_float ~decimals:2 (1000.0 *. !tot_inc);
-      Printf.sprintf "%.1fx" speedup ];
-  Report.Table.render t ^ "\n" ^ Report.Table.render t2
-
-(* ------------------------------------------------------------------ *)
-
 let slots_counts = [ 1; 2; 4; 8 ]
 let slots_thetas = [ 1e-3; 1e-2 ]
 
@@ -989,5 +868,5 @@ let lifecycle () =
 let all =
   [ ("T1", table1); ("F3", fig3); ("F4", fig4); ("F5", fig5); ("F6", fig6);
     ("F7", fig7); ("S3-gamma", gamma); ("S2-stubs", stubs); ("S6-bsafe", bsafe);
-    ("A1-ablation", ablation); ("C1-coders", coders); ("P1-passes", passes);
+    ("A1-ablation", ablation); ("C1-coders", coders);
     ("S7-slots", slots_surface); ("P8-lifecycle", lifecycle) ]

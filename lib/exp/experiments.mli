@@ -45,12 +45,6 @@ val ablation : unit -> string
     buffer-safety, unswitching; plus the move-to-front variant's effect on
     the compressed size. *)
 
-val passes : unit -> string
-(** Where squash time goes: per-pass wall-clock timing of the pipeline
-    across the workload suite, with each pass's share of the total; plus a
-    before/after of region formation at θ=1.0 (per-round rescan reference
-    vs the incremental packer, identical partitions checked). *)
-
 val slots_surface : unit -> string
 (** The region-cache surface: slowdown vs squeezed for slot counts
     1/2/4/8 at two aggressive thresholds, with decompression and

@@ -140,6 +140,20 @@ let entries t =
   Hashtbl.fold (fun key (e : entry) acc -> (key, e.freq, e.weight) :: acc) t.table []
   |> List.sort compare
 
+let check t (p : Prog.t) =
+  let missing =
+    List.filter_map
+      (fun ((fname, b), _, _) ->
+        match Prog.find_func p fname with
+        | None ->
+          Some (Printf.sprintf "profile names unknown function %s (block %d)" fname b)
+        | Some f when b < 0 || b >= Array.length f.Prog.Func.blocks ->
+          Some (Printf.sprintf "profile names missing block %s.%d" fname b)
+        | Some _ -> None)
+      (entries t)
+  in
+  if missing = [] then Ok () else Error missing
+
 let of_entries ?(source = Exact) es =
   let t = fresh ~source () in
   List.iter

@@ -64,6 +64,12 @@ val entries : t -> ((string * int) * int * int) list
 (** All [(key, freq, weight)] entries sorted by (function, block) — the
     canonical order used by {!to_string}. *)
 
+val check : t -> Prog.t -> (unit, string list) result
+(** Whether every profiled block exists in the program: one error per
+    entry that names an unknown function or a block index out of range,
+    in {!entries} order.  A profile loaded for a program is checked with
+    this before use, and the pipeline re-checks it after every pass. *)
+
 val of_entries : ?source:source -> ((string * int) * int * int) list -> t
 (** Build a profile from entries; the total is the entry-weight sum.
     @raise Invalid_argument on a duplicate key or negative count. *)

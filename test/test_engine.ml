@@ -134,6 +134,20 @@ let memo_tests =
 
 (* ------------------------------------------------------------------ *)
 
+(* Replace every entry file under [dir] with [f header payload]. *)
+let rewrite_entries dir f =
+  Array.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      let ic = open_in_bin path in
+      let header = input_line ic in
+      let payload = really_input_string ic (in_channel_length ic - pos_in ic) in
+      close_in ic;
+      let oc = open_out_bin path in
+      output_string oc (f header payload);
+      close_out oc)
+    (Sys.readdir dir)
+
 let cache_tests =
   [
     Alcotest.test_case "store/find round-trips" `Quick (fun () ->
@@ -160,20 +174,36 @@ let cache_tests =
         let c = Cache.create ~dir () in
         let key = Cache.digest [ "k" ] in
         Cache.store c ~kind:"t" ~key 99;
-        (* Overwrite every entry with an old-schema header + garbage. *)
-        let vdir =
-          Filename.concat dir (Printf.sprintf "v%d" Cache.schema_version)
-        in
-        Array.iter
-          (fun f ->
-            let oc = open_out_bin (Filename.concat vdir f) in
-            output_string oc "pgcc-cache v0 ocaml-0.0 t\ngarbage";
-            close_out oc)
-          (Sys.readdir vdir);
-        Alcotest.(check (option int)) "stale -> miss" None
+        (* Keep each entry's header line, tear the payload. *)
+        rewrite_entries dir (fun header _ -> header ^ "\ngarbage");
+        Alcotest.(check (option int)) "torn -> miss" None
           (Cache.find c ~kind:"t" ~key);
         Alcotest.(check bool) "error counted" true
           ((Cache.stats c).Cache.errors >= 1));
+    Alcotest.test_case "an entry another build stored is a miss" `Quick
+      (fun () ->
+        let dir = fresh_dir "pgcc-cache-build" in
+        let c = Cache.create ~dir () in
+        let key = Cache.digest [ "k" ] in
+        Cache.store c ~kind:"t" ~key 99;
+        Alcotest.(check (option int)) "own build hits" (Some 99)
+          (Cache.find c ~kind:"t" ~key);
+        (* The same intact payload, stamped by another executable. *)
+        rewrite_entries dir (fun header payload ->
+            match String.split_on_char ' ' header with
+            | [ magic; build; kind ] ->
+              String.concat " " [ magic; String.make (String.length build) '0'; kind ]
+              ^ "\n" ^ payload
+            | _ -> Alcotest.failf "unexpected entry header %S" header);
+        Alcotest.(check (option int)) "foreign build -> miss" None
+          (Cache.find c ~kind:"t" ~key);
+        let s = Cache.stats c in
+        Alcotest.(check (pair int int)) "hits, misses" (1, 1)
+          (s.Cache.hits, s.Cache.misses);
+        Alcotest.(check int) "not an error" 0 s.Cache.errors;
+        Cache.store c ~kind:"t" ~key 100;
+        Alcotest.(check (option int)) "overwritten by this build" (Some 100)
+          (Cache.find c ~kind:"t" ~key));
     Alcotest.test_case "memo computes on miss, reads on hit" `Quick (fun () ->
         let c = Cache.create ~dir:(fresh_dir "pgcc-cache-memo") () in
         let runs = ref 0 in

@@ -1,6 +1,6 @@
-(* The instrumented pass pipeline: ordering, skipping, per-pass validation,
-   stats invariants, and byte-identity of Squash.run with an explicit
-   pipeline run. *)
+(* The pass pipeline: pass order, per-pass validation, the image check
+   after the list, tracing, and byte-identity of Squash.run with an
+   explicit pipeline run. *)
 
 let compile src =
   match Minic.compile src with
@@ -57,12 +57,12 @@ let prepared = lazy (
   let prof, _ = Profile.collect p ~input:"n" in
   (p, prof))
 
-let manual_squash ?(passes = None) options p prof =
-  let passes =
-    match passes with Some l -> l | None -> Pipeline.of_options options
+let manual_squash options p prof =
+  let st =
+    Pipeline.execute ~passes:(Pipeline.of_options options)
+      (Pass.init ~options p prof)
   in
-  let st, stats = Pipeline.execute ~passes (Pass.init ~options p prof) in
-  (Pass.get_squashed ~who:"test" st, stats)
+  Pass.get_squashed ~who:"test" st
 
 let check_identical name (a : Rewrite.t) (b : Rewrite.t) =
   Alcotest.(check string) (name ^ " blob") a.Rewrite.blob b.Rewrite.blob;
@@ -81,10 +81,6 @@ let check_identical name (a : Rewrite.t) (b : Rewrite.t) =
 let corrupting_pass =
   {
     Pass.name = "corrupt";
-    descr = "inject a sentinel into the first block";
-    paper = "-";
-    requires = [];
-    after = [];
     transform =
       (fun st ->
         let p = st.Pass.prog in
@@ -102,94 +98,42 @@ let corrupting_pass =
     note = (fun _ -> "corrupted");
   }
 
-let ordering_tests =
+let pass_names o = List.map (fun (p : Pass.t) -> p.Pass.name) (Pipeline.of_options o)
+
+let order_tests =
   [
     Alcotest.test_case "standard order is accepted" `Quick (fun () ->
         let p, prof = Lazy.force prepared in
-        let _, stats = manual_squash Squash.default_options p prof in
         Alcotest.(check (list string))
           "pass order"
           [ "resolve"; "cold"; "unswitch"; "exclude"; "regions"; "buffer-safe";
             "rewrite" ]
-          (List.map (fun (s : Pass.stats) -> s.Pass.pass_name)
-             stats.Pipeline.passes));
-    Alcotest.test_case "missing prerequisite is rejected up front" `Quick
-      (fun () ->
+          (pass_names Squash.default_options);
+        Alcotest.(check bool) "produced an image" true
+          (Rewrite.total_words (manual_squash Squash.default_options p prof) > 0));
+    Alcotest.test_case "a missing prerequisite fails by name" `Quick (fun () ->
         let p, prof = Lazy.force prepared in
         Alcotest.check_raises "regions without cold"
           (Invalid_argument
-             "Pipeline.execute: pass \"regions\" requires \"cold\" to run earlier")
+             "regions: cold analysis missing (run the \"cold\" pass first)")
           (fun () ->
             ignore
               (Pipeline.execute ~passes:[ Pipeline.regions_pass ]
                  (Pass.init p prof))));
-    Alcotest.test_case "soft ordering: exclude may not precede unswitch" `Quick
-      (fun () ->
-        let p, prof = Lazy.force prepared in
-        let bad =
-          [ Pipeline.cold_pass; Pipeline.exclude_pass; Pipeline.unswitch_pass;
-            Pipeline.regions_pass; Pipeline.buffer_safe_pass;
-            Pipeline.rewrite_pass ]
-        in
-        Alcotest.check_raises "exclude before unswitch"
-          (Invalid_argument
-             "Pipeline.execute: pass \"exclude\" must come after \"unswitch\"")
-          (fun () -> ignore (Pipeline.execute ~passes:bad (Pass.init p prof))));
-    Alcotest.test_case "duplicate pass is rejected" `Quick (fun () ->
-        let p, prof = Lazy.force prepared in
-        Alcotest.check_raises "cold twice"
-          (Invalid_argument "Pipeline.execute: pass \"cold\" appears twice")
-          (fun () ->
-            ignore
-              (Pipeline.execute
-                 ~passes:[ Pipeline.cold_pass; Pipeline.cold_pass ]
-                 (Pass.init p prof))));
-    Alcotest.test_case "exclude without unswitch in the list is fine" `Quick
-      (fun () ->
-        (* The soft constraint only binds when unswitch is present. *)
-        let p, prof = Lazy.force prepared in
-        let passes = Pipeline.skip [ "unswitch" ] Pipeline.standard in
-        let sq, _ = manual_squash ~passes:(Some passes) Squash.default_options p prof in
-        Alcotest.(check bool) "produced an image" true
-          (Rewrite.total_words sq > 0));
-  ]
-
-let skipping_tests =
-  [
-    Alcotest.test_case "skipping unswitch == options.unswitch = false" `Quick
-      (fun () ->
-        let p, prof = Lazy.force prepared in
-        let opts = { Squash.default_options with Squash.unswitch = false } in
-        let via_options = Squash.run ~options:opts p prof in
-        let via_skip, _ =
-          manual_squash
-            ~passes:(Some (Pipeline.skip [ "unswitch" ] Pipeline.standard))
-            (* Keep the options identical so the image is byte-identical. *)
-            opts p prof
-        in
-        check_identical "skip-vs-option" via_options.Squash.squashed via_skip);
     Alcotest.test_case "of_options drops unswitch exactly when disabled" `Quick
       (fun () ->
-        let names o = Pipeline.names (Pipeline.of_options o) in
         Alcotest.(check bool) "on" true
-          (List.mem "unswitch" (names Squash.default_options));
+          (List.mem "unswitch" (pass_names Squash.default_options));
         Alcotest.(check bool) "off" false
           (List.mem "unswitch"
-             (names { Squash.default_options with Squash.unswitch = false })));
-    Alcotest.test_case "by_name finds every standard pass" `Quick (fun () ->
-        List.iter
-          (fun n ->
-            match Pipeline.by_name n with
-            | Some p -> Alcotest.(check string) "name" n p.Pass.name
-            | None -> Alcotest.failf "pass %s not found" n)
-          (Pipeline.names Pipeline.standard));
+             (pass_names { Squash.default_options with Squash.unswitch = false })));
   ]
 
 let check_each_tests =
   [
     Alcotest.test_case "healthy pipeline passes ~check_each" `Quick (fun () ->
         let p, prof = Lazy.force prepared in
-        let st, _ =
+        let st =
           Pipeline.execute ~check_each:true
             ~passes:(Pipeline.of_options Squash.default_options)
             (Pass.init p prof)
@@ -213,76 +157,35 @@ let check_each_tests =
             (List.exists (fun e -> contains e "sentinel") errors));
         (* Without check_each the same list runs to completion — the
            corruption is only caught later, at the final image check. *)
-        let st, _ = Pipeline.execute ~passes (Pass.init p prof) in
+        let st = Pipeline.execute ~passes (Pass.init p prof) in
         Alcotest.(check bool) "image still built" true (st.Pass.squashed <> None));
     Alcotest.test_case "Squash.run ~check:true validates, lints and proves" `Quick
       (fun () ->
         let p, prof = Lazy.force prepared in
         let r = Squash.run ~check:true p prof in
         Alcotest.(check bool) "image" true (Rewrite.total_words r.Squash.squashed > 0);
-        Alcotest.(check (list string))
-          "passes"
-          (Pipeline.names (Pipeline.of_options Squash.default_options)
-          @ [ "lint"; "prove" ])
-          (List.map
-             (fun (s : Pass.stats) -> s.Pass.pass_name)
-             r.Squash.stats.Pipeline.passes));
-  ]
-
-let stats_tests =
-  [
-    Alcotest.test_case "stats chain: sizes thread through the passes" `Quick
+        check_identical "checked-vs-unchecked" (Squash.run p prof).Squash.squashed
+          r.Squash.squashed);
+    Alcotest.test_case "check_image blames prove for a skewed stub tag" `Quick
       (fun () ->
-        let p, prof = Lazy.force prepared in
-        let r = Squash.run p prof in
-        let stats = r.Squash.stats in
-        let ss = stats.Pipeline.passes in
-        Alcotest.(check bool) "non-empty" true (ss <> []);
-        let first = List.hd ss and last = List.nth ss (List.length ss - 1) in
-        Alcotest.(check int) "starts from the input program"
-          (Prog.text_words p) first.Pass.words_before;
-        Alcotest.(check int) "ends at the squashed footprint"
-          (Rewrite.total_words r.Squash.squashed) last.Pass.words_after;
-        Alcotest.(check int) "squashed_words agrees" r.Squash.squashed_words
-          last.Pass.words_after;
-        ignore
-          (List.fold_left
-             (fun prev (s : Pass.stats) ->
-               Alcotest.(check bool)
-                 (Printf.sprintf "%s time non-negative" s.Pass.pass_name)
-                 true (s.Pass.elapsed_s >= 0.0);
-               (match prev with
-               | None -> ()
-               | Some (pw, pi) ->
-                 Alcotest.(check int)
-                   (Printf.sprintf "%s words chain" s.Pass.pass_name)
-                   pw s.Pass.words_before;
-                 Alcotest.(check int)
-                   (Printf.sprintf "%s instrs chain" s.Pass.pass_name)
-                   pi s.Pass.instrs_before);
-               Some (s.Pass.words_after, s.Pass.instrs_after))
-             None ss);
-        let sum =
-          List.fold_left (fun acc (s : Pass.stats) -> acc +. s.Pass.elapsed_s)
-            0.0 ss
+        (* Stub tags are Prove's to check; the whole-image lints pass it on. *)
+        let sq = Test_equiv.make () in
+        let _, addr =
+          match Test_equiv.two_word_stubs sq with
+          | s :: _ -> s
+          | [] -> Alcotest.fail "fixture has no 2-word entry stub"
         in
-        Alcotest.(check bool) "total is the sum of the passes" true
-          (Float.abs (stats.Pipeline.total_s -. sum) < 1e-9));
-    Alcotest.test_case "render_stats and stats_json name every pass" `Quick
-      (fun () ->
-        let p, prof = Lazy.force prepared in
-        let r = Squash.run p prof in
-        let table = Pipeline.render_stats r.Squash.stats in
-        let json =
-          Report.Json.to_string (Pipeline.stats_json r.Squash.stats)
+        let tag_addr = addr + 4 in
+        let tag =
+          sq.Rewrite.text.Easm.words.((tag_addr - sq.Rewrite.text.Easm.base) / 4)
         in
-        List.iter
-          (fun name ->
-            Alcotest.(check bool) ("table has " ^ name) true (contains table name);
-            Alcotest.(check bool) ("json has " ^ name) true
-              (contains json (Printf.sprintf "\"name\":%S" name)))
-          (Pipeline.names (Pipeline.of_options Squash.default_options));
-        Alcotest.(check bool) "json has total_s" true (contains json "\"total_s\""));
+        Pipeline.check_image sq;
+        Test_equiv.patched sq tag_addr (tag + 1) (fun () ->
+            match Pipeline.check_image sq with
+            | () -> Alcotest.fail "patched image passed the check"
+            | exception Pipeline.Check_failed { pass; errors } ->
+              Alcotest.(check string) "blamed check" "prove" pass;
+              Alcotest.(check bool) "names the failure" true (errors <> [])));
     Alcotest.test_case "trace emits one line per pass" `Quick (fun () ->
         let p, prof = Lazy.force prepared in
         let lines = ref [] in
@@ -298,7 +201,7 @@ let identity_tests =
       (fun () ->
         let p, prof = Lazy.force prepared in
         let r = Squash.run p prof in
-        let sq, _ = manual_squash Squash.default_options p prof in
+        let sq = manual_squash Squash.default_options p prof in
         check_identical "small" r.Squash.squashed sq);
     Alcotest.test_case
       "workloads: byte-identical images at default options" `Slow (fun () ->
@@ -307,7 +210,7 @@ let identity_tests =
             let pre = Exp_data.prepare wl in
             let p = pre.Exp_data.squeezed and prof = pre.Exp_data.profile in
             let r = Squash.run p prof in
-            let sq, _ = manual_squash Squash.default_options p prof in
+            let sq = manual_squash Squash.default_options p prof in
             check_identical wl.Workload.name r.Squash.squashed sq;
             match (Prove.run r.Squash.squashed).Prove.failures with
             | [] -> ()
@@ -366,11 +269,16 @@ let validation_tests =
         let other =
           squeeze (compile "int main() { putint(1); return 0; }")
         in
-        match check_state (Pass.init other prof) with
+        match Profile.check prof other with
         | Ok () -> Alcotest.fail "stale profile not detected"
         | Error es ->
-          Alcotest.(check bool) "mentions the profile" true
-            (List.exists (fun e -> contains e "profile") es));
+          Alcotest.(check bool) "names each missing block" true
+            (List.exists (fun e -> contains e "missing block main.") es
+            && List.exists (fun e -> contains e "unknown function hot_step") es);
+          (* The pipeline's per-pass check reports the same errors. *)
+          Alcotest.(check (result unit (list string)))
+            "per-pass check agrees" (Error es)
+            (check_state (Pass.init other prof)));
     Alcotest.test_case "validate rejects an empty program" `Quick (fun () ->
         let bad =
           { Prog.funcs = []; entry = "main"; data_words = 0; data_init = [] }
@@ -384,5 +292,4 @@ let validation_tests =
 
 let suite =
   [ ("pipeline",
-     ordering_tests @ skipping_tests @ check_each_tests @ stats_tests
-     @ identity_tests @ validation_tests) ]
+     order_tests @ check_each_tests @ identity_tests @ validation_tests) ]
