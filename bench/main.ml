@@ -6,8 +6,7 @@
      dune exec bench/main.exe                  # everything
      dune exec bench/main.exe -- T1 F6         # selected experiments
      dune exec bench/main.exe -- --jobs N      # engine pool size (default:
-                                               # $JOBS, then domain count)
-     dune exec bench/main.exe -- --no-cache    # skip the _cache/ store    *)
+                                               # $JOBS, then domain count) *)
 
 let hr title =
   Printf.printf "\n%s\n%s\n%s\n\n" (String.make 78 '#')
@@ -16,7 +15,7 @@ let hr title =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let jobs = ref None and no_cache = ref false in
+  let jobs = ref None in
   let rec split_flags acc = function
     | "--jobs" :: n :: rest -> (
       match int_of_string_opt n with
@@ -29,18 +28,12 @@ let () =
     | "--jobs" :: [] ->
       prerr_endline "--jobs requires a positive integer";
       exit 1
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      split_flags acc rest
     | a :: rest -> split_flags (a :: acc) rest
     | [] -> List.rev acc
   in
   let ids = split_flags [] args in
   Exp_grid.set_jobs !jobs;
-  let cache = if !no_cache then None else Some (Cache.create ()) in
-  Exp_data.set_cache cache;
-  Printf.printf "engine: %d jobs; cache: %s\n%!" (Exp_grid.jobs ())
-    (match cache with None -> "disabled" | Some c -> Cache.dir c);
+  Printf.printf "engine: %d jobs\n%!" (Exp_grid.jobs ());
   let requested = match ids with _ :: _ -> ids | [] -> List.map fst Experiments.all in
   let t0 = Unix.gettimeofday () in
   let unknown = ref [] in
@@ -54,9 +47,6 @@ let () =
       | None -> unknown := id :: !unknown)
     requested;
   Printf.printf "\ntotal time: %.1fs\n" (Unix.gettimeofday () -. t0);
-  (match cache with
-  | None -> ()
-  | Some c -> print_endline (Cache.render_stats c));
   match List.rev !unknown with
   | [] -> ()
   | ids ->

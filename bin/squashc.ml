@@ -131,9 +131,30 @@ let coder_conv =
     [ ("huffman", `Split_stream); ("mtf", `Split_stream_mtf); ("lzss", `Lzss);
       ("context", `Context) ]
 
+(* Range-checked converters: a value out of range is a usage error that
+   names the flag (cmdliner's exit 124), never an exception from deep in
+   the pipeline. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (Printf.sprintf "expected a positive integer, got %S" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let theta_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some t when t >= 0.0 && t <= 1.0 -> Ok t
+    | Some _ | None ->
+      Error (Printf.sprintf "expected a threshold in [0, 1], got %S" s)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
 let cache_slots_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "cache-slots" ] ~docv:"N"
         ~doc:"Number of decompressed-region cache slots the runtime keeps \
               resident (default 1; each extra slot costs one buffer's worth \
@@ -186,7 +207,7 @@ let run_cmd =
   in
   let theta =
     Arg.(
-      value & opt float 0.01
+      value & opt theta_conv 0.01
       & info [ "theta" ] ~docv:"T"
           ~doc:"Cold-code threshold for the $(b,--trace) squash (ignored \
                 without $(b,--trace)).")
@@ -477,7 +498,7 @@ let profdiff_cmd =
 let squash_cmd =
   let theta =
     Arg.(
-      value & opt float 0.0
+      value & opt theta_conv 0.0
       & info [ "theta" ] ~docv:"T" ~doc:"Cold-code threshold in [0, 1].")
   in
   let k_bytes =
@@ -682,7 +703,7 @@ let squash_cmd =
 let attrib_cmd =
   let theta =
     Arg.(
-      value & opt float 0.01
+      value & opt theta_conv 0.01
       & info [ "theta" ] ~docv:"T" ~doc:"Cold-code threshold in [0, 1].")
   in
   let k_bytes =
@@ -819,7 +840,7 @@ let grid_cmd =
   let thetas =
     Arg.(
       value
-      & opt (list float) Exp_data.theta_grid
+      & opt (list theta_conv) Exp_data.theta_grid
       & info [ "theta" ] ~docv:"T,T,..." ~doc:"Cold-code thresholds to sweep.")
   in
   let ks =
@@ -838,21 +859,10 @@ let grid_cmd =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "jobs" ] ~docv:"N"
           ~doc:"Engine pool size (default: \\$JOBS, then the recommended \
                 domain count).")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Do not read or write the persistent cache.")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt string Cache.default_dir
-      & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Persistent cache directory.")
   in
   let json_out =
     Arg.(
@@ -878,7 +888,7 @@ let grid_cmd =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Trace the grid run into sharded per-domain sinks (engine \
-                job spans, pipeline pass spans, cache latencies) and write \
+                job spans, pipeline pass spans) and write \
                 the deterministic merged export here.")
   in
   let trace_format =
@@ -888,8 +898,8 @@ let grid_cmd =
       & info [ "trace-format" ] ~docv:"FMT"
           ~doc:"Trace file format: $(b,chrome) or $(b,jsonl).")
   in
-  let run names thetas ks timing cache_slots jobs no_cache cache_dir json_out
-      csv_out stats_flag trace_out trace_format =
+  let run names thetas ks timing cache_slots jobs json_out csv_out stats_flag
+      trace_out trace_format =
     let wls = workloads_named names in
     let obs =
       match trace_out with
@@ -901,10 +911,6 @@ let grid_cmd =
         let pool = (match jobs with Some j -> j | None -> Exp_grid.jobs ()) in
         Some (Obs.full ~shards:(pool + 1) ())
     in
-    let cache =
-      if no_cache then None else Some (Cache.create ~dir:cache_dir ?obs ())
-    in
-    Exp_data.set_cache cache;
     Exp_grid.set_obs obs;
     (* Workload-innermost order so the first [jobs] cells touch distinct
        workloads and the prepare stages parallelise. *)
@@ -929,9 +935,6 @@ let grid_cmd =
         "engine: %d cells on %d workers in %.2fs (busy %.2fs, %d failed)\n"
         stats.Engine.submitted stats.Engine.pool stats.Engine.wall_s
         stats.Engine.busy_s stats.Engine.failed;
-    (match cache with
-    | None -> ()
-    | Some c -> print_endline (Cache.render_stats c));
     (match (trace_out, obs) with
     | Some path, Some o ->
       let tr = Option.get o.Obs.trace in
@@ -951,12 +954,9 @@ let grid_cmd =
     | _ -> ());
     let doc =
       Report.Json.Obj
-        ([ ("schema", Report.Json.String "pgcc-grid-v1");
-           ("engine", Engine.stats_json stats) ]
-        @ (match cache with
-          | None -> []
-          | Some c -> [ ("cache", Cache.stats_json c) ])
-        @ [ ("cells", Exp_grid.to_json results) ])
+        [ ("schema", Report.Json.String "pgcc-grid-v2");
+          ("engine", Engine.stats_json stats);
+          ("cells", Exp_grid.to_json results) ]
     in
     (match json_out with
     | None -> ()
@@ -978,8 +978,7 @@ let grid_cmd =
              engine.")
     Term.(
       const run $ workloads_arg $ thetas $ ks $ timing $ cache_slots_arg $ jobs
-      $ no_cache $ cache_dir $ json_out $ csv_out $ stats_flag $ trace_out
-      $ trace_format)
+      $ json_out $ csv_out $ stats_flag $ trace_out $ trace_format)
 
 (* --- tracediff -------------------------------------------------------- *)
 
@@ -1032,14 +1031,14 @@ let check_cmd =
   let thetas =
     Arg.(
       value
-      & opt (list float) [ 0.0; 0.001; 0.01; 1.0 ]
+      & opt (list theta_conv) [ 0.0; 0.001; 0.01; 1.0 ]
       & info [ "theta" ] ~docv:"T,T,..."
           ~doc:"Cold-code thresholds to build and check at.")
   in
   let slots_list =
     Arg.(
       value
-      & opt (list int) [ 1; 4 ]
+      & opt (list positive_int) [ 1; 4 ]
       & info [ "slots" ] ~docv:"N,N,..."
           ~doc:"Cache-slot counts to prove each image for (every slot's \
                 displacement rebias is checked).")

@@ -32,7 +32,6 @@ type stats = {
   failed : int;
   wall_s : float;
   busy_s : float;
-  max_queue_depth : int;
   job_stats : job_stat list;
 }
 
@@ -44,7 +43,6 @@ let stats_json s =
       ("failed", Report.Json.Int s.failed);
       ("wall_seconds", Report.Json.Float s.wall_s);
       ("busy_seconds", Report.Json.Float s.busy_s);
-      ("max_queue_depth", Report.Json.Int s.max_queue_depth);
       ("jobs",
        Report.Json.List
          (List.map
@@ -60,11 +58,10 @@ let render_stats s =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf
-       "engine: %d jobs on %d workers in %.2fs (busy %.2fs, %.1fx, %d failed, \
-        queue depth %d)\n"
+       "engine: %d jobs on %d workers in %.2fs (busy %.2fs, %.1fx, %d failed)\n"
        s.submitted s.pool s.wall_s s.busy_s
        (if s.wall_s > 0.0 then s.busy_s /. s.wall_s else 1.0)
-       s.failed s.max_queue_depth);
+       s.failed);
   let width =
     List.fold_left (fun acc j -> max acc (String.length j.label)) 3 s.job_stats
   in
@@ -84,59 +81,15 @@ let default_jobs () =
     | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-(* The work queue: all jobs are enqueued before the workers start, but the
-   queue is written in the general producer/consumer form (close + condition)
-   so a streaming submitter can reuse it later. *)
-type queue = {
-  q : int Queue.t;
-  m : Mutex.t;
-  nonempty : Condition.t;
-  mutable closed : bool;
-  mutable max_depth : int;
-}
-
-let queue_create () =
-  { q = Queue.create (); m = Mutex.create (); nonempty = Condition.create ();
-    closed = false; max_depth = 0 }
-
-let queue_push qu i =
-  Mutex.lock qu.m;
-  Queue.push i qu.q;
-  qu.max_depth <- max qu.max_depth (Queue.length qu.q);
-  Condition.signal qu.nonempty;
-  Mutex.unlock qu.m
-
-let queue_close qu =
-  Mutex.lock qu.m;
-  qu.closed <- true;
-  Condition.broadcast qu.nonempty;
-  Mutex.unlock qu.m
-
-let queue_pop qu =
-  Mutex.lock qu.m;
-  let rec go () =
-    match Queue.take_opt qu.q with
-    | Some i ->
-      Mutex.unlock qu.m;
-      Some i
-    | None ->
-      if qu.closed then begin
-        Mutex.unlock qu.m;
-        None
-      end
-      else begin
-        Condition.wait qu.nonempty qu.m;
-        go ()
-      end
-  in
-  go ()
-
 let run ?jobs ?obs ?(classify = fun e -> (`Exception, Printexc.to_string e))
     ?(label = fun i -> Printf.sprintf "job-%d" i) thunks =
   let thunks = Array.of_list thunks in
   let n = Array.length thunks in
   let jobs =
-    match jobs with Some j when j >= 1 -> j | Some _ | None -> default_jobs ()
+    match jobs with
+    | Some j when j < 1 -> invalid_arg "Engine.run: jobs must be >= 1"
+    | Some j -> j
+    | None -> default_jobs ()
   in
   let pool = max 1 (min jobs (max n 1)) in
   let results =
@@ -205,34 +158,28 @@ let run ?jobs ?obs ?(classify = fun e -> (`Exception, Printexc.to_string e))
           payload = Obs.Event.Job_submit { label = label i } };
       Obs.incr o "engine.jobs_submitted"
   in
-  let qu = queue_create () in
-  if pool = 1 then
-    for i = 0 to n - 1 do
-      submit i;
-      run_one ~worker:0 i
-    done
-  else begin
-    for i = 0 to n - 1 do
-      submit i;
-      queue_push qu i
-    done;
-    queue_close qu;
-    let worker w =
-      let rec loop () =
-        match queue_pop qu with
-        | None -> ()
-        | Some i ->
-          run_one ~worker:w i;
-          loop ()
-      in
-      loop ()
+  for i = 0 to n - 1 do
+    submit i
+  done;
+  (* Every job is submitted before any worker starts, so the queue is just
+     the next unclaimed index.  With a pool of 1 nothing is spawned and
+     worker 0 (the caller) runs every job in order. *)
+  let next = Atomic.make 0 in
+  let worker w =
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        run_one ~worker:w i;
+        loop ()
+      end
     in
-    let spawned =
-      Array.init (pool - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
-    in
-    worker 0;
-    Array.iter Domain.join spawned
-  end;
+    loop ()
+  in
+  let spawned =
+    Array.init (pool - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1)))
+  in
+  worker 0;
+  Array.iter Domain.join spawned;
   let wall_s = Obs.Clock.now () -. t0 in
   let busy_s = Array.fold_left ( +. ) 0.0 times in
   let failed =
@@ -247,4 +194,4 @@ let run ?jobs ?obs ?(classify = fun e -> (`Exception, Printexc.to_string e))
   in
   ( results,
     { pool; submitted = n; succeeded = n - failed; failed; wall_s; busy_s;
-      max_queue_depth = qu.max_depth; job_stats } )
+      job_stats } )

@@ -1,22 +1,22 @@
 (** A Domain-pool job scheduler for embarrassingly-parallel experiment
     grids.
 
-    A batch of independent jobs is pushed onto a [Mutex]/[Condition] work
-    queue and drained by a pool of OCaml 5 [Domain]s ([--jobs N]; the
-    default honours the [JOBS] environment variable, then
-    [Domain.recommended_domain_count]).  Jobs are crash-isolated: an
-    exception escaping a job marks {e that job} failed with a structured
-    {!job_error} — classified by the caller-supplied [classify], so the
-    engine itself stays ignorant of VM traps and pipeline invariants — and
-    the rest of the batch completes.
+    A batch of independent jobs is submitted up front and drained by a pool
+    of OCaml 5 [Domain]s, each claiming the next job index from one atomic
+    counter ([--jobs N]; the default honours the [JOBS] environment
+    variable, then [Domain.recommended_domain_count]).  Jobs are
+    crash-isolated: an exception escaping a job marks {e that job} failed
+    with a structured {!job_error} — classified by the caller-supplied
+    [classify], so the engine itself stays ignorant of VM traps and
+    pipeline invariants — and the rest of the batch completes.
 
     With [jobs = 1] (or a single job) everything runs inline on the calling
     domain, with no spawning: the sequential path the determinism
     regression compares against.
 
-    Observability: per-job wall clock and worker assignment, queue-depth
-    high-water mark, and success/failure counts, renderable as a table
-    ({!render_stats}) or as JSON ({!stats_json}). *)
+    Observability: per-job wall clock and worker assignment and
+    success/failure counts, renderable as a table ({!render_stats}) or as
+    JSON ({!stats_json}). *)
 
 type error_kind =
   [ `Trap  (** The simulated machine trapped. *)
@@ -50,8 +50,6 @@ type stats = {
   wall_s : float;  (** Wall clock of the whole batch. *)
   busy_s : float;  (** Summed per-job wall clock (parallel speedup is
                        [busy_s /. wall_s]). *)
-  max_queue_depth : int;  (** High-water mark of jobs waiting in the
-                              queue. *)
   job_stats : job_stat list;  (** In submission order. *)
 }
 
@@ -71,6 +69,7 @@ val run :
   (unit -> 'a) list ->
   ('a, job_error) result array * stats
 (** Evaluate every thunk; the result array is in submission order.
+    [jobs] (default {!default_jobs}) caps the pool size.
     [classify] turns an escaped exception into a structured error (default:
     [`Exception] with [Printexc.to_string]); [label] names job [i] for
     error messages and per-job stats.  [obs] receives
@@ -78,4 +77,5 @@ val run :
     domain emits into its own trace shard, so tracing does not serialise
     the pool), the [engine.jobs_*] counters, the [engine.job_wall_us] /
     [engine.job_alloc_words] / [engine.queue_wait_us] histograms and the
-    [gc.top_heap_words] max-gauge. *)
+    [gc.top_heap_words] max-gauge.
+    @raise Invalid_argument if [jobs < 1]. *)

@@ -8,9 +8,8 @@
     profiling input, timing input — {!workload_digest}) plus the full
     option record ({!options_key}), never by workload name alone: a
     changed workload hashes to a different key and can never serve a stale
-    artifact.  When a persistent {!Cache.t} is installed ({!set_cache}),
-    the same keys address the on-disk store, so a warm rerun in a fresh
-    process skips compilation, profiling, squashing and timing entirely.
+    artifact.  The tables live for the process; nothing is stored on
+    disk.
 
     The θ scale: the paper's thresholds are fractions of the {e profiled}
     dynamic instruction count, and its profiling runs execute billions of
@@ -23,7 +22,7 @@
 
 type prepared = {
   wl : Workload.t;
-  digest : string;  (** {!workload_digest} of [wl]; the cache key root. *)
+  digest : string;  (** {!workload_digest} of [wl]; the memo key root. *)
   input_prog : Prog.t;
       (** After unreachable-code and no-op elimination only — the paper's
           Table 1 "Input" column. *)
@@ -33,11 +32,9 @@ type prepared = {
   profile_outcome : Vm.outcome;
 }
 
-val set_cache : Cache.t option -> unit
-(** Install (or remove) the persistent result cache backing every memo
-    below.  Default: disabled. *)
-
-val current_cache : unit -> Cache.t option
+val current_cache : unit -> 'a option
+(** Always [None]: there is no persistent result cache.  squashbench's
+    cache guard reads it. *)
 
 val workload_digest : Workload.t -> string
 (** Content digest of source text + profiling, timing and drift inputs. *)
@@ -46,8 +43,8 @@ val options_key : Squash.options -> string
 (** Canonical fingerprint of the full option record (every field). *)
 
 (** Which profile guides compression (the P8 lifecycle axis).  The spec's
-    {!spec_label} is folded into every downstream memo and persistent-cache
-    key, so results built from estimated profiles never alias exact ones. *)
+    {!spec_label} is folded into every downstream memo key, so results
+    built from estimated profiles never alias exact ones. *)
 type profile_spec =
   | Pexact  (** The exact profile from the profiling input (status quo). *)
   | Poracle
@@ -69,12 +66,12 @@ type run_input = [ `Timing | `Drift ]
 val run_label : run_input -> string
 
 val profile_for : prepared -> profile_spec -> Profile.t
-(** Materialise the spec'd profile (memoized; persisted under kind
-    ["profile"] keyed by workload digest + spec label). *)
+(** Materialise the spec'd profile (memoized by workload digest + spec
+    label). *)
 
 val reset : unit -> unit
-(** Clear the in-process memo tables (the persistent cache is untouched).
-    For tests — e.g. forcing recomputation to compare cold/warm runs. *)
+(** Clear the memo tables.  For tests — e.g. forcing recomputation to
+    compare cold/warm runs. *)
 
 val prepare : Workload.t -> prepared
 (** Memoized by workload name + content digest. *)
@@ -105,10 +102,9 @@ val timing_run :
     [`Timing]), checking that its output matches the matching baseline
     exactly.  [slots] (default 1) is the runtime's region-cache slot
     count; it, the profile spec and the run input are all part of the memo
-    and persistent-cache key, since they change cycle counts (or the
-    image) without changing the workload.  [pspec] must name the profile
-    the squash result was built from.  Memoized like {!squash_result}; a
-    persisted entry was verified before it was stored.
+    key, since they change cycle counts (or the image) without changing
+    the workload.  [pspec] must name the profile the squash result was
+    built from.  Memoized like {!squash_result}.
     @raise Failure on a behaviour mismatch. *)
 
 val reprofile_squashed : Squash.result -> input:string -> Profile.t * Vm.outcome

@@ -3,10 +3,10 @@ let opts theta = { Squash.default_options with Squash.theta }
 let with_all f = List.map (fun wl -> f (Exp_data.prepare wl)) Workloads.all
 
 (* Every driver submits its cell set to the engine up front: the grid is
-   evaluated concurrently (and through the persistent cache) into the
-   Exp_data memos, then the rendering below reads the warm memos.  Cells
-   are listed workload-innermost so the first [jobs] dequeued cells touch
-   distinct workloads and their prepare stages parallelise.  A failed cell
+   evaluated concurrently into the Exp_data memos, then the rendering below
+   reads the warm memos.  Cells are listed workload-innermost so the first
+   [jobs] claimed cells touch distinct workloads and their prepare stages
+   parallelise.  A failed cell
    fails the whole experiment, naming every failed cell. *)
 let submit cells =
   let results, _stats = Exp_grid.run ~jobs:(Exp_grid.jobs ()) cells in

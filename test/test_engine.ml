@@ -1,26 +1,7 @@
 (* The parallel experiment engine: scheduler crash isolation, the
-   compute-once memo, the persistent content-addressed cache, digest-keyed
-   Exp_data, and the grid determinism regression (engine at --jobs 1 /
-   --jobs 4, cold vs warm cache, all byte-identical to the sequential
-   path). *)
-
-let qcheck = QCheck_alcotest.to_alcotest
-
-let rm_rf dir =
-  let rec go path =
-    match Sys.is_directory path with
-    | true ->
-      Array.iter (fun f -> go (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-  in
-  go dir
-
-let fresh_dir name =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
-  rm_rf dir;
-  dir
+   compute-once memo, digest-keyed Exp_data, and the grid determinism
+   regression (engine at --jobs 1 / --jobs 4, cold vs warm memo, all
+   byte-identical to the sequential path). *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -75,8 +56,6 @@ let engine_tests =
         Alcotest.(check int) "jobs listed" 5
           (List.length stats.Engine.job_stats);
         Alcotest.(check bool) "busy >= 0" true (stats.Engine.busy_s >= 0.0);
-        Alcotest.(check bool) "queue depth bounded" true
-          (stats.Engine.max_queue_depth <= 5);
         let rendered = Engine.render_stats stats in
         Alcotest.(check bool) "render mentions pool" true
           (String.length rendered > 0);
@@ -85,6 +64,13 @@ let engine_tests =
           Alcotest.(check bool) "json has pool" true
             (List.mem_assoc "pool" fields)
         | _ -> Alcotest.fail "stats_json should be an object");
+    Alcotest.test_case "jobs < 1 is rejected" `Quick (fun () ->
+        List.iter
+          (fun jobs ->
+            Alcotest.check_raises (Printf.sprintf "jobs=%d" jobs)
+              (Invalid_argument "Engine.run: jobs must be >= 1") (fun () ->
+                ignore (Engine.run ~jobs [ (fun () -> ()) ])))
+          [ 0; -1 ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -134,100 +120,12 @@ let memo_tests =
 
 (* ------------------------------------------------------------------ *)
 
-(* Replace every entry file under [dir] with [f header payload]. *)
-let rewrite_entries dir f =
-  Array.iter
-    (fun name ->
-      let path = Filename.concat dir name in
-      let ic = open_in_bin path in
-      let header = input_line ic in
-      let payload = really_input_string ic (in_channel_length ic - pos_in ic) in
-      close_in ic;
-      let oc = open_out_bin path in
-      output_string oc (f header payload);
-      close_out oc)
-    (Sys.readdir dir)
-
-let cache_tests =
-  [
-    Alcotest.test_case "store/find round-trips" `Quick (fun () ->
-        let c = Cache.create ~dir:(fresh_dir "pgcc-cache-rt") () in
-        let key = Cache.digest [ "some"; "content" ] in
-        Alcotest.(check bool) "cold miss" true
-          (Cache.find c ~kind:"t" ~key = (None : (int * string) option));
-        Cache.store c ~kind:"t" ~key (17, "hello");
-        Alcotest.(check (option (pair int string))) "hit" (Some (17, "hello"))
-          (Cache.find c ~kind:"t" ~key);
-        let s = Cache.stats c in
-        Alcotest.(check int) "hits" 1 s.Cache.hits;
-        Alcotest.(check int) "misses" 1 s.Cache.misses;
-        Alcotest.(check int) "stores" 1 s.Cache.stores);
-    Alcotest.test_case "digest separates content, not concatenation" `Quick
-      (fun () ->
-        Alcotest.(check bool) "ab|c <> a|bc" true
-          (Cache.digest [ "ab"; "c" ] <> Cache.digest [ "a"; "bc" ]);
-        Alcotest.(check string) "deterministic"
-          (Cache.digest [ "x" ]) (Cache.digest [ "x" ]));
-    Alcotest.test_case "stale or corrupt entries read as misses" `Quick
-      (fun () ->
-        let dir = fresh_dir "pgcc-cache-stale" in
-        let c = Cache.create ~dir () in
-        let key = Cache.digest [ "k" ] in
-        Cache.store c ~kind:"t" ~key 99;
-        (* Keep each entry's header line, tear the payload. *)
-        rewrite_entries dir (fun header _ -> header ^ "\ngarbage");
-        Alcotest.(check (option int)) "torn -> miss" None
-          (Cache.find c ~kind:"t" ~key);
-        Alcotest.(check bool) "error counted" true
-          ((Cache.stats c).Cache.errors >= 1));
-    Alcotest.test_case "an entry another build stored is a miss" `Quick
-      (fun () ->
-        let dir = fresh_dir "pgcc-cache-build" in
-        let c = Cache.create ~dir () in
-        let key = Cache.digest [ "k" ] in
-        Cache.store c ~kind:"t" ~key 99;
-        Alcotest.(check (option int)) "own build hits" (Some 99)
-          (Cache.find c ~kind:"t" ~key);
-        (* The same intact payload, stamped by another executable. *)
-        rewrite_entries dir (fun header payload ->
-            match String.split_on_char ' ' header with
-            | [ magic; build; kind ] ->
-              String.concat " " [ magic; String.make (String.length build) '0'; kind ]
-              ^ "\n" ^ payload
-            | _ -> Alcotest.failf "unexpected entry header %S" header);
-        Alcotest.(check (option int)) "foreign build -> miss" None
-          (Cache.find c ~kind:"t" ~key);
-        let s = Cache.stats c in
-        Alcotest.(check (pair int int)) "hits, misses" (1, 1)
-          (s.Cache.hits, s.Cache.misses);
-        Alcotest.(check int) "not an error" 0 s.Cache.errors;
-        Cache.store c ~kind:"t" ~key 100;
-        Alcotest.(check (option int)) "overwritten by this build" (Some 100)
-          (Cache.find c ~kind:"t" ~key));
-    Alcotest.test_case "memo computes on miss, reads on hit" `Quick (fun () ->
-        let c = Cache.create ~dir:(fresh_dir "pgcc-cache-memo") () in
-        let runs = ref 0 in
-        let get () =
-          Cache.memo (Some c) ~kind:"m" ~key:(Cache.digest [ "k" ]) (fun () ->
-              incr runs;
-              [ 1; 2; 3 ])
-        in
-        Alcotest.(check (list int)) "computed" [ 1; 2; 3 ] (get ());
-        Alcotest.(check (list int)) "cached" [ 1; 2; 3 ] (get ());
-        Alcotest.(check int) "one compute" 1 !runs;
-        Alcotest.(check (list int)) "disabled cache still computes" [ 1; 2; 3 ]
-          (Cache.memo None ~kind:"m" ~key:"k" (fun () -> incr runs; [ 1; 2; 3 ]));
-        Alcotest.(check int) "two computes" 2 !runs);
-  ]
-
-(* ------------------------------------------------------------------ *)
-
-let test_wl name source =
+let test_wl ?(profiling = "") name source =
   {
     Workload.name;
     description = "engine test workload";
     source;
-    profiling_input = lazy "";
+    profiling_input = lazy profiling;
     timing_input = lazy "";
     drift_input = lazy "";
   }
@@ -256,6 +154,15 @@ int main() { return pad(4) & 255; }
           <> Prog.instr_count p2.Exp_data.squeezed);
         Alcotest.(check int) "wl1 exits 3" 3
           p1.Exp_data.profile_outcome.Vm.exit_code);
+    Alcotest.test_case "digest separates content, not concatenation" `Quick
+      (fun () ->
+        let digest source profiling =
+          Exp_data.workload_digest (test_wl ~profiling "w" source)
+        in
+        Alcotest.(check bool) "ab|c <> a|bc" true
+          (digest "ab" "c" <> digest "a" "bc");
+        Alcotest.(check string) "deterministic" (digest "x" "y")
+          (digest "x" "y"));
     Alcotest.test_case "options_key covers every option field" `Quick
       (fun () ->
         let base = Squash.default_options in
@@ -279,10 +186,10 @@ int main() { return pad(4) & 255; }
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The grid determinism regression (ISSUE 3): the full θ-grid through the
-   engine at --jobs 1 and --jobs 4, cold cache and warm cache, must be
-   byte-identical to the sequential Exp_data path.  Two workloads keep the
-   wall clock tolerable; the θ axis is the full grid. *)
+(* The grid determinism regression: the full θ-grid through the engine at
+   --jobs 1 and --jobs 4, cold memo and warm memo, must be byte-identical
+   to the sequential Exp_data path.  Two workloads keep the wall clock
+   tolerable; the θ axis is the full grid. *)
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -317,38 +224,30 @@ let grid_cells () =
   in
   size_cells @ timing_cells
 
-let render_run ~jobs cells =
-  Exp_data.reset ();
+(* A cold run starts from empty memo tables; a warm one reuses whatever
+   the previous run left in them. *)
+let render_run ?(warm = false) ~jobs cells =
+  if not warm then Exp_data.reset ();
   let results, stats = Exp_grid.run ~jobs cells in
   Alcotest.(check int) "no cell failed" 0 stats.Engine.failed;
   Exp_grid.render_table results ^ Exp_grid.to_csv results
 
 let determinism_tests =
   [
-    Alcotest.test_case "θ-grid: jobs 1/4, cold/warm cache byte-identical"
+    Alcotest.test_case "θ-grid: jobs 1/4, cold/warm memo byte-identical"
       `Slow (fun () ->
-        let saved_cache = Exp_data.current_cache () in
-        let dir = fresh_dir "pgcc-grid-determinism" in
-        Fun.protect
-          ~finally:(fun () ->
-            Exp_data.set_cache saved_cache;
-            Exp_data.reset ();
-            rm_rf dir)
-          (fun () ->
+        Fun.protect ~finally:Exp_data.reset (fun () ->
             let cells = grid_cells () in
             (* The sequential Exp_data path: no engine pool (jobs=1 runs
-               inline on the calling domain), no persistent cache. *)
-            Exp_data.set_cache None;
+               inline on the calling domain). *)
             let sequential = render_run ~jobs:1 cells in
-            (* Parallel, cold persistent cache. *)
-            let cache = Cache.create ~dir () in
-            Exp_data.set_cache (Some cache);
             let parallel_cold = render_run ~jobs:4 cells in
-            Alcotest.(check bool) "cold run stored entries" true
-              ((Cache.stats cache).Cache.stores > 0);
-            (* Parallel and sequential, warm persistent cache. *)
-            let parallel_warm = render_run ~jobs:4 cells in
-            let sequential_warm = render_run ~jobs:1 cells in
+            let wl = List.hd (grid_wls ()) in
+            let prepared = Exp_data.prepare wl in
+            let parallel_warm = render_run ~warm:true ~jobs:4 cells in
+            let sequential_warm = render_run ~warm:true ~jobs:1 cells in
+            Alcotest.(check bool) "warm runs reuse the cold run's entries" true
+              (Exp_data.prepare wl == prepared);
             (* Default pool size (honours $JOBS — CI runs 1 and 4). *)
             let default_jobs = render_run ~jobs:(Engine.default_jobs ()) cells in
             Alcotest.(check string) "parallel cold = sequential" sequential
@@ -358,10 +257,7 @@ let determinism_tests =
             Alcotest.(check string) "sequential warm = sequential" sequential
               sequential_warm;
             Alcotest.(check string) "default jobs = sequential" sequential
-              default_jobs;
-            let s = Cache.stats cache in
-            Alcotest.(check bool) "warm runs hit the cache" true
-              (s.Cache.hits > 0)));
+              default_jobs));
     Alcotest.test_case "an injected trap fails that cell only" `Quick
       (fun () ->
         let cells =
@@ -413,5 +309,4 @@ let determinism_tests =
 
 let suite =
   [ ("engine", engine_tests); ("engine-memo", memo_tests);
-    ("engine-cache", cache_tests); ("engine-exp-data", exp_data_tests);
-    ("engine-grid", determinism_tests) ]
+    ("engine-exp-data", exp_data_tests); ("engine-grid", determinism_tests) ]

@@ -1,5 +1,6 @@
 (* Cross-cutting property tests: VM arithmetic against the Word
-   specification, squeeze idempotence, and assembler round-trips. *)
+   specification, squeeze idempotence, assembler round-trips, and parsers
+   of external inputs under mutation. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -69,6 +70,61 @@ let vm_alu op a b =
   | _ -> Some (Vm.load_word vm Layout.data_base)
   | exception Vm.Trap _ -> None
 
+(* One valid input per external format the tools read: a profile (with
+   the program it must match), assembly, and a trace exported as Chrome
+   JSON and as JSONL. *)
+let external_inputs =
+  lazy
+    (let prog =
+       Minic.compile_exn
+         "int main() { int i; int s; s = 0; for (i = 0; i < 9; i = i + 1) \
+          { if (i & 1) s = s + i; } return s; }"
+     in
+     let profile, _ = Profile.collect prog ~input:"" in
+     let tr = Obs.Trace.create ~capacity:16 () in
+     let emit ts payload = Obs.Trace.emit tr { Obs.Event.ts; payload } in
+     emit (Obs.Event.Cycles 100) (Obs.Event.Decomp_begin { region = 0 });
+     emit (Obs.Event.Cycles 140)
+       (Obs.Event.Decomp_end { region = 0; bits = 33; words = 7; cycles = 40 });
+     emit (Obs.Event.Mono 10.0) (Obs.Event.Pass_begin { name = "cold" });
+     emit (Obs.Event.Mono 10.25)
+       (Obs.Event.Pass_end { name = "cold"; elapsed_s = 0.25 });
+     ( prog,
+       Profile.to_string profile,
+       Format.asprintf "%a" Asm.pp_program prog,
+       Report.Json.to_string (Obs.Trace.to_chrome tr),
+       Obs.Trace.to_jsonl tr ))
+
+(* An edit is (op, position, byte): delete, insert or replace the byte at
+   the position, truncate there, or duplicate the 16 bytes that follow. *)
+let mutate text edits =
+  List.fold_left
+    (fun s (op, pos, c) ->
+      let n = String.length s in
+      let i = pos mod (n + 1) in
+      let pre = String.sub s 0 i and post = String.sub s i (n - i) in
+      let rest = String.sub post (min 1 (n - i)) (max 0 (n - i - 1)) in
+      match op with
+      | 0 -> pre ^ rest
+      | 1 -> pre ^ String.make 1 c ^ post
+      | 2 -> pre ^ String.make 1 c ^ rest
+      | 3 -> pre
+      | _ -> pre ^ String.sub post 0 (min 16 (n - i)) ^ post)
+    text edits
+
+let arb_edits =
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [ (3, oneofl (List.of_seq (String.to_seq "{}[]\":,.-+eE019 \n#;()&_")));
+          (1, char) ])
+  in
+  QCheck.make
+    ~print:
+      QCheck.Print.(list (triple int int (fun c -> Printf.sprintf "%C" c)))
+    QCheck.Gen.(list_size (int_range 1 4)
+                  (triple (int_bound 4) (int_bound 1_000_000) byte))
+
 let props =
   [
     qcheck
@@ -95,6 +151,33 @@ let props =
              let run prog = Vm.run (Vm.of_image ~fuel:20_000_000 (Layout.emit prog) ~input:"") in
              let o1 = run p and o2 = run p2 in
              o1.Vm.output = o2.Vm.output && o1.Vm.exit_code = o2.Vm.exit_code));
+    qcheck ~speed_level:`Quick
+      (QCheck.Test.make
+         ~name:"mutated external inputs give Error, never an exception"
+         ~count:300 arb_edits (fun edits ->
+           let prog, profile, asm, chrome, jsonl = Lazy.force external_inputs in
+           let parsers =
+             [ ( "profile", profile,
+                 fun t ->
+                   Result.iter
+                     (fun p -> ignore (Profile.check p prog))
+                     (Profile.of_string t) );
+               ("asm", asm, fun t -> ignore (Asm.parse_program t));
+               ("json", chrome, fun t -> ignore (Report.Json.of_string t));
+               ("tracediff chrome", chrome,
+                fun t -> ignore (Tracediff.of_string t));
+               ("tracediff jsonl", jsonl,
+                fun t -> ignore (Tracediff.of_string t)) ]
+           in
+           List.for_all
+             (fun (what, valid, parse) ->
+               let t = mutate valid edits in
+               match parse t with
+               | () -> true
+               | exception e ->
+                 QCheck.Test.fail_reportf "%s raised %s on %S" what
+                   (Printexc.to_string e) t)
+             parsers));
   ]
 
 let suite = [ ("props", props) ]
